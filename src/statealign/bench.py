@@ -13,10 +13,10 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import Field, asdict, dataclass, field, fields, replace
+from enum import Enum
 
 import numpy as np
 
@@ -30,14 +30,21 @@ from .interventions import (
     parse_intervention,
 )
 from .metrics import MetricTrace, ProbeSet, make_probes
-from .olbfgs import OptimizerState, StepConfig, advance, initial_state, replay, two_loop
+from .olbfgs import (
+    OptimizerState,
+    StepConfig,
+    advance,
+    direct_memory_mass,
+    initial_state,
+    replay,
+    two_loop,
+)
 from .stream import (
-    DeletionMode,
     DeletionSet,
     Event,
+    EventStream,
     LogisticSample,
     QuadraticSample,
-    Regime,
     StreamConfig,
     edit_history,
     generate_stream,
@@ -45,40 +52,6 @@ from .stream import (
 )
 
 EXACT_RECOVERY_EPS = 1e-12
-
-CSV_COLUMNS = (
-    "seed",
-    "regime",
-    "kappa",
-    "tau",
-    "deletion_mode",
-    "deletion_size",
-    "t_del",
-    "horizon",
-    "method",
-    "initial_param_err",
-    "initial_mem_err",
-    "initial_state_err",
-    "final_state_err",
-    "future_state_auc",
-    "future_param_auc",
-    "upd_dir_auc",
-    "direct_mass_at_del",
-    "clearance_time",
-    "exact_recovery",
-    "avg_future_loss",
-    "auc_ratio_vs_noop",
-    "rho_p1",
-    "rho_p2",
-    "rho_p3",
-    "replayed_events",
-    "extra_grad_evals",
-    "wall_clock_s",
-    "alpha_bound",
-    "sigma_cert",
-)
-
-TIMING_COLUMNS = ("wall_clock_s",)
 
 TRACE_COLUMNS = ("k", "E_w", "E_Z", "E_theta", "D_upd", "M_direct", "loss")
 
@@ -183,6 +156,13 @@ class RunResult:
         raise KeyError(method)
 
 
+# One results row: the run key, then every MethodResult field in order.
+RUN_KEY_COLUMNS = (
+    "seed", "regime", "kappa", "tau", "deletion_mode", "deletion_size", "t_del", "horizon"
+)
+CSV_COLUMNS = RUN_KEY_COLUMNS + tuple(f.name for f in fields(MethodResult))
+
+
 @dataclass
 class _Reference:
     """Counterfactual trajectory unrolled over the shared future."""
@@ -243,19 +223,15 @@ def _propagate_and_measure(
     direction = np.full(h + 1, np.nan)
     mass = np.zeros(h + 1, dtype=np.int64)
     loss = np.full(h + 1, np.nan)
-    banned = deletions.indices
 
     st = state0.clone()
     for k in range(h + 1):
-        actions = two_loop(st.memory, probes.vectors)
-        diff = actions - ref.actions[k]
-        e_w = float(np.linalg.norm(st.w - ref.ws[k]))
-        e_z = math.sqrt(float(np.mean(np.sum(diff * diff, axis=0))))
+        e_w = metrics.param_error(st.w, ref.ws[k])
+        e_z = metrics.operator_action_error(two_loop(st.memory, probes.vectors), ref.actions[k])
         param[k] = e_w
         memory[k] = e_z
-        state[k] = e_w + memory_weight * e_z
-        if banned:
-            mass[k] = sum(1 for p in st.memory.pairs if p.sources & banned)
+        state[k] = metrics.state_error(e_w, e_z, memory_weight)
+        mass[k] = direct_memory_mass(st.memory, deletions)
         if k < h:
             st, info = advance(st, future[k], cfg)
             try:
@@ -332,38 +308,49 @@ def _summarize_method(
     )
 
 
-def _run_single(
-    cfg: ExperimentConfig, seed: int, method_ids: tuple[str, ...], keep_traces: bool
-) -> RunResult:
+def prepare_run(
+    cfg: ExperimentConfig, seed: int
+) -> tuple[EventStream, InterventionContext, OptimizerState]:
+    """The pre-deletion protocol: stream, training, deletions, oracle.
+
+    Generates the stream, trains from the global initial state on the
+    prefix up to t_del, selects the deletion set at the trained state and
+    replays the edited prefix from the initial state. Returns the stream,
+    the context every intervention receives (theta0, the unedited prefix,
+    the trained state, the deletions and the step config with the
+    stream's ridge) and the oracle state at t_del.
+    """
     cfg.validate()
     scfg = cfg.stream
     step_cfg = replace(cfg.optimizer, ridge=scfg.ridge)
+    strm = generate_stream(scfg, seed)
+    theta0 = initial_state(scfg.dimension, step_cfg)
+    prefix = strm.prefix(scfg.deletion_time)
+    actual = replay(theta0, prefix, step_cfg)
+    deletions = select_deletion_set(
+        strm, scfg.deletion_time, scfg.deletion_mode, scfg.deletion_size, grad_state=actual.w
+    )
+    oracle0 = replay(theta0, edit_history(prefix, deletions), step_cfg)
+    ctx = InterventionContext(
+        actual=actual, deletions=deletions, step_cfg=step_cfg, theta0=theta0, full_prefix=prefix
+    )
+    return strm, ctx, oracle0
+
+
+def _run_single(
+    cfg: ExperimentConfig, seed: int, method_ids: tuple[str, ...], keep_traces: bool
+) -> RunResult:
+    strm, ctx, oracle0 = prepare_run(cfg, seed)
+    scfg = cfg.stream
+    step_cfg = ctx.step_cfg
+    deletions = ctx.deletions
     tau = step_cfg.tau
     t_del = scfg.deletion_time
     horizon = scfg.horizon
 
-    strm = generate_stream(scfg, seed)
-    theta0 = initial_state(scfg.dimension, step_cfg)
-    prefix = strm.prefix(t_del)
-    actual = replay(theta0, prefix, step_cfg)
-    deletions = select_deletion_set(
-        strm, t_del, scfg.deletion_mode, scfg.deletion_size, grad_state=actual.w
-    )
-    edited = edit_history(prefix, deletions)
-    oracle0 = replay(theta0, edited, step_cfg)
-
     future = [e for e in strm.future(t_del, horizon) if e.index not in deletions.indices]
     probes = make_probes(scfg.dimension, cfg.probe_count, seed)
     ref = _reference_trajectory(oracle0, future, step_cfg, probes)
-
-    ctx = InterventionContext(
-        actual=actual,
-        deletions=deletions,
-        step_cfg=step_cfg,
-        theta0=theta0,
-        full_prefix=prefix,
-        window_buffer=prefix,
-    )
 
     rows: list[MethodResult] = []
     traces: dict[str, MetricTrace] = {}
@@ -464,31 +451,28 @@ def run_experiment2(cfg: ExperimentConfig, keep_traces: bool = True) -> RunResul
 # Grid running
 # ---------------------------------------------------------------------------
 
-_STREAM_AXIS_FIELDS = {
-    "kappa": "condition_number",
-    "t_del": "deletion_time",
-    "regime": "regime",
-    "deletion_mode": "deletion_mode",
-}
-_OPT_AXIS_FIELDS = {"tau": "tau", "eta": "eta"}
+# A grid axis names "seed", a StreamConfig or StepConfig field (the
+# stream's wins where both have one), or one of these short aliases.
+GRID_AXIS_ALIASES = {"kappa": "condition_number", "t_del": "deletion_time"}
+
+
+def grid_axis_field(name: str) -> tuple[str, Field]:
+    """The ExperimentConfig part ("stream" or "optimizer") and field an axis sets."""
+    target = GRID_AXIS_ALIASES.get(name, name)
+    for part, cls in (("stream", StreamConfig), ("optimizer", StepConfig)):
+        for f in fields(cls):
+            if f.name == target:
+                return part, f
+    raise InvalidAxis(f"unknown grid axis {name!r}")
 
 
 def _apply_axis(cfg: ExperimentConfig, name: str, value) -> ExperimentConfig:
-    stream_fields = {f.name for f in StreamConfig.__dataclass_fields__.values()}
-    opt_fields = {f.name for f in StepConfig.__dataclass_fields__.values()}
     if name == "seed":
         return replace(cfg, seeds=(int(value),))
-    if name in _STREAM_AXIS_FIELDS or name in stream_fields:
-        field_name = _STREAM_AXIS_FIELDS.get(name, name)
-        if field_name == "regime":
-            value = Regime(value) if not isinstance(value, Regime) else value
-        if field_name == "deletion_mode":
-            value = DeletionMode(value) if not isinstance(value, DeletionMode) else value
-        return replace(cfg, stream=replace(cfg.stream, **{field_name: value}))
-    if name in _OPT_AXIS_FIELDS or name in opt_fields:
-        field_name = _OPT_AXIS_FIELDS.get(name, name)
-        return replace(cfg, optimizer=replace(cfg.optimizer, **{field_name: value}))
-    raise InvalidAxis(f"unknown grid axis {name!r}")
+    part, f = grid_axis_field(name)
+    if isinstance(f.default, Enum):
+        value = type(f.default)(value)
+    return replace(cfg, **{part: replace(getattr(cfg, part), **{f.name: value})})
 
 
 def derive_point_seed(base_seed: int, point: dict) -> int:
@@ -641,42 +625,8 @@ def _format_cell(value) -> str:
 
 
 def result_rows(result: RunResult) -> list[dict]:
-    rows = []
-    for m in result.methods:
-        rows.append(
-            {
-                "seed": result.seed,
-                "regime": result.regime,
-                "kappa": result.kappa,
-                "tau": result.tau,
-                "deletion_mode": result.deletion_mode,
-                "deletion_size": result.deletion_size,
-                "t_del": result.t_del,
-                "horizon": result.horizon,
-                "method": m.method,
-                "initial_param_err": m.initial_param_err,
-                "initial_mem_err": m.initial_mem_err,
-                "initial_state_err": m.initial_state_err,
-                "final_state_err": m.final_state_err,
-                "future_state_auc": m.future_state_auc,
-                "future_param_auc": m.future_param_auc,
-                "upd_dir_auc": m.upd_dir_auc,
-                "direct_mass_at_del": m.direct_mass_at_del,
-                "clearance_time": m.clearance_time,
-                "exact_recovery": m.exact_recovery,
-                "avg_future_loss": m.avg_future_loss,
-                "auc_ratio_vs_noop": m.auc_ratio_vs_noop,
-                "rho_p1": m.rho_p1,
-                "rho_p2": m.rho_p2,
-                "rho_p3": m.rho_p3,
-                "replayed_events": m.replayed_events,
-                "extra_grad_evals": m.extra_grad_evals,
-                "wall_clock_s": m.wall_clock_s,
-                "alpha_bound": m.alpha_bound,
-                "sigma_cert": m.sigma_cert,
-            }
-        )
-    return rows
+    key = {c: getattr(result, c) for c in RUN_KEY_COLUMNS}
+    return [{**key, **asdict(m)} for m in result.methods]
 
 
 def _atomic_write(path: str, text: str) -> None:

@@ -22,9 +22,8 @@ import numpy as np
 
 from . import bench, certify, configio, metrics
 from .errors import InvalidConfig, StateAlignError
-from .interventions import InterventionContext, apply as apply_intervention, parse_intervention
-from .olbfgs import initial_state, replay
-from .stream import edit_history, generate_stream, read_stream, select_deletion_set, write_stream
+from .interventions import apply as apply_intervention, parse_intervention
+from .stream import generate_stream, read_stream, write_stream
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -168,33 +167,16 @@ def _cmd_inspect(args) -> int:
         return EXIT_OK
     cfg = _load_cfg(args, bench.experiment2_defaults())
     seed = args.seed if args.seed is not None else cfg.seeds[0]
-    scfg = cfg.stream
-    step_cfg = replace(cfg.optimizer, ridge=scfg.ridge)
-    strm = generate_stream(scfg, seed)
-    theta0 = initial_state(scfg.dimension, step_cfg)
-    prefix = strm.prefix(scfg.deletion_time)
-    actual = replay(theta0, prefix, step_cfg)
-    deletions = select_deletion_set(
-        strm, scfg.deletion_time, scfg.deletion_mode, scfg.deletion_size, grad_state=actual.w
-    )
+    _, ctx, oracle = bench.prepare_run(cfg, seed)
     print(
-        f"trained {len(prefix)} events: |w|={float(np.linalg.norm(actual.w))!r} "
-        f"pairs={len(actual.memory)}"
+        f"trained {len(ctx.full_prefix)} events: |w|={float(np.linalg.norm(ctx.actual.w))!r} "
+        f"pairs={len(ctx.actual.memory)}"
     )
-    print(f"deletion set ({scfg.deletion_mode.value}): {sorted(deletions.indices)}")
+    print(f"deletion set ({cfg.stream.deletion_mode.value}): {sorted(ctx.deletions.indices)}")
     if args.intervention:
-        spec = parse_intervention(args.intervention, step_cfg.tau)
-        ctx = InterventionContext(
-            actual=actual,
-            deletions=deletions,
-            step_cfg=step_cfg,
-            theta0=theta0,
-            full_prefix=prefix,
-            window_buffer=prefix,
-        )
+        spec = parse_intervention(args.intervention, ctx.step_cfg.tau)
         intervened = apply_intervention(spec, ctx)
-        oracle = replay(theta0, edit_history(prefix, deletions), step_cfg)
-        probes = metrics.make_probes(scfg.dimension, cfg.probe_count, seed)
+        probes = metrics.make_probes(cfg.stream.dimension, cfg.probe_count, seed)
         e_w = metrics.param_error(intervened.state.w, oracle.w)
         e_z = metrics.memory_operator_error(intervened.state.memory, oracle.memory, probes)
         print(

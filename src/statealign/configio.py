@@ -9,44 +9,41 @@ axis values, e.g. `kappa = 3, 10, 30`.
 from __future__ import annotations
 
 import configparser
-from dataclasses import fields
+from dataclasses import fields, is_dataclass, replace
+from enum import Enum
 from pathlib import Path
 
-from .bench import ExperimentConfig
-from .errors import InvalidConfig
+from .bench import ExperimentConfig, grid_axis_field
+from .errors import InvalidAxis, InvalidConfig
 from .olbfgs import StepConfig
 from .stream import DeletionMode, Regime, StreamConfig
 
-_ENUM_FIELDS = {"regime": Regime, "deletion_mode": DeletionMode}
-
-_BOOLISH = {"true": True, "false": False, "yes": True, "no": False}
+_ENUM_TYPES = {cls.__name__: cls for cls in (Regime, DeletionMode)}
 
 
 def _coerce(raw: str, type_name: str, key: str):
+    """Parse one value by its field's annotation; tuples are comma lists."""
     raw = raw.strip()
-    if key in _ENUM_FIELDS:
-        try:
-            return _ENUM_FIELDS[key](raw)
-        except ValueError as exc:
-            raise InvalidConfig(f"bad value {raw!r} for {key}") from exc
+    if type_name.startswith("tuple["):
+        item_type = type_name[len("tuple[") :].split(",")[0]
+        return tuple(_coerce(v, item_type, key) for v in raw.split(",") if v.strip())
     try:
+        if type_name in _ENUM_TYPES:
+            return _ENUM_TYPES[type_name](raw)
         if type_name == "int":
             return int(raw)
         if type_name == "float":
             return float(raw)
     except ValueError as exc:
         raise InvalidConfig(f"bad value {raw!r} for {key}") from exc
-    if type_name == "bool":
-        if raw.lower() not in _BOOLISH:
-            raise InvalidConfig(f"bad value {raw!r} for {key}")
-        return _BOOLISH[raw.lower()]
     return raw
 
 
 def _section_kwargs(parser: configparser.ConfigParser, section: str, cls) -> dict:
     if not parser.has_section(section):
         return {}
-    known = {f.name: f.type for f in fields(cls)}
+    # Nested configs (ExperimentConfig.stream, .optimizer) have their own sections.
+    known = {f.name: f.type for f in fields(cls) if not is_dataclass(f.default_factory)}
     out = {}
     for key, raw in parser.items(section):
         if key not in known:
@@ -55,40 +52,20 @@ def _section_kwargs(parser: configparser.ConfigParser, section: str, cls) -> dic
     return out
 
 
-_AXIS_TYPES = {
-    "kappa": "float",
-    "tau": "int",
-    "eta": "float",
-    "seed": "int",
-    "t_del": "int",
-    "deletion_mode": "str",
-    "regime": "str",
-}
-
-
-def _axis_type(name: str) -> str:
-    if name in _AXIS_TYPES:
-        return _AXIS_TYPES[name]
-    for cls in (StreamConfig, StepConfig):
-        for f in fields(cls):
-            if f.name == name:
-                return f.type
-    return "str"
-
-
 def load_grid_axes(path: str | Path) -> dict[str, list]:
     parser = _read(path)
     axes: dict[str, list] = {}
     if parser.has_section("grid"):
         for key, raw in parser.items("grid"):
-            type_name = _axis_type(key)
-            values = [v.strip() for v in raw.split(",") if v.strip()]
+            try:
+                type_name = "int" if key == "seed" else grid_axis_field(key)[1].type
+            except InvalidAxis as exc:
+                raise InvalidConfig(f"unknown key {key!r} in [grid]") from exc
+            values = [_coerce(v, type_name, key) for v in raw.split(",") if v.strip()]
             if not values:
                 raise InvalidConfig(f"grid axis {key!r} has no values")
-            if key in ("deletion_mode", "regime"):
-                axes[key] = values
-            else:
-                axes[key] = [_coerce(v, type_name, key) for v in values]
+            # Enum axes keep their text: derive_point_seed hashes str(value).
+            axes[key] = [v.value if isinstance(v, Enum) else v for v in values]
     return axes
 
 
@@ -108,40 +85,11 @@ def load_config(path: str | Path, base: ExperimentConfig | None = None) -> Exper
     """Build an ExperimentConfig from a file, on top of `base` defaults."""
     parser = _read(path)
     cfg = base if base is not None else ExperimentConfig()
-
-    stream_kwargs = _section_kwargs(parser, "stream", StreamConfig)
-    opt_kwargs = _section_kwargs(parser, "optimizer", StepConfig)
-
-    exp_kwargs = {}
-    if parser.has_section("experiment"):
-        scalar_types = {
-            "probe_count": "int",
-            "memory_weight": "float",
-            "phase_policy": "str",
-            "contraction_trials": "int",
-            "privacy_epsilon": "float",
-            "privacy_delta": "float",
-            "exact_recovery_eps": "float",
-        }
-        for key, raw in parser.items("experiment"):
-            if key == "interventions":
-                exp_kwargs["interventions"] = tuple(
-                    v.strip() for v in raw.split(",") if v.strip()
-                )
-            elif key == "seeds":
-                exp_kwargs["seeds"] = tuple(int(v) for v in raw.split(",") if v.strip())
-            elif key in scalar_types:
-                exp_kwargs[key] = _coerce(raw, scalar_types[key], key)
-            else:
-                raise InvalidConfig(f"unknown key {key!r} in [experiment]")
-
-    from dataclasses import replace
-
     cfg = replace(
         cfg,
-        stream=replace(cfg.stream, **stream_kwargs),
-        optimizer=replace(cfg.optimizer, **opt_kwargs),
-        **exp_kwargs,
+        stream=replace(cfg.stream, **_section_kwargs(parser, "stream", StreamConfig)),
+        optimizer=replace(cfg.optimizer, **_section_kwargs(parser, "optimizer", StepConfig)),
+        **_section_kwargs(parser, "experiment", ExperimentConfig),
     )
     cfg.validate()
     return cfg

@@ -9,7 +9,7 @@ against; everything else trades fidelity for work.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -31,11 +31,6 @@ class InterventionKind(Enum):
     CONTAMINATED_PAIR_DROP = "pair_drop"
     WINDOW_REPLAY = "window"
     DROP_AND_REFILL = "drop_refill"
-
-
-class FutureMap(Enum):
-    ACTUAL = "actual"
-    COUNTERFACTUAL = "counterfactual"
 
 
 @dataclass(frozen=True)
@@ -101,8 +96,8 @@ class InterventionContext:
     """Everything a method may consult at deletion time.
 
     full_prefix is the unedited history up to t_del (None when the caller
-    withholds it); window_buffer is a trailing suffix of that prefix for
-    window-bounded replay. theta0 is the global initial state of the run.
+    withholds it); window replay reads only its trailing events. theta0 is
+    the global initial state of the run.
     """
 
     actual: OptimizerState
@@ -110,13 +105,11 @@ class InterventionContext:
     step_cfg: StepConfig
     theta0: OptimizerState
     full_prefix: list[Event] | None = None
-    window_buffer: list[Event] | None = None
 
 
 @dataclass
 class IntervenedState:
     state: OptimizerState
-    future_map: FutureMap
     cost: InterventionCost
     label: str
 
@@ -159,10 +152,9 @@ def _window_replay(ctx: InterventionContext, window: int) -> tuple[OptimizerStat
     parameters with empty memory, so the result matches the oracle exactly
     only when the window covers the whole surviving history.
     """
-    if ctx.window_buffer is None:
-        raise MissingHistory("window replay needs a trailing event buffer")
-    tail = ctx.window_buffer[-window:] if window < len(ctx.window_buffer) else list(ctx.window_buffer)
-    edited = edit_history(tail, ctx.deletions)
+    if ctx.full_prefix is None:
+        raise MissingHistory("window replay needs the prefix")
+    edited = edit_history(ctx.full_prefix[-window:], ctx.deletions)
     fresh = initial_state(ctx.actual.w.shape[0], ctx.step_cfg)
     return replay(fresh, edited, ctx.step_cfg), len(edited)
 
@@ -208,6 +200,4 @@ def apply(spec: InterventionSpec, ctx: InterventionContext) -> IntervenedState:
         extra_grad_evals=grad_evals,
         wall_clock_seconds=time.perf_counter() - started,
     )
-    return IntervenedState(
-        state=state, future_map=FutureMap.COUNTERFACTUAL, cost=cost, label=spec.label
-    )
+    return IntervenedState(state=state, cost=cost, label=spec.label)

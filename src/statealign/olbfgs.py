@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DimensionMismatch, InvalidConfig, NonInsertEvent
 from .stream import DeletionSet, Event, EventOp, loss_and_grad
 
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 GAMMA_NEWEST_PAIR = "newest_pair"
 GAMMA_CONSTANT = "constant"
@@ -123,15 +123,9 @@ class OptimizerState:
     w: np.ndarray
     memory: MemoryState
     step: int = 0
-    prev_grad: np.ndarray | None = None
 
     def clone(self) -> OptimizerState:
-        return OptimizerState(
-            w=self.w.copy(),
-            memory=self.memory.clone(),
-            step=self.step,
-            prev_grad=self.prev_grad,
-        )
+        return OptimizerState(w=self.w.copy(), memory=self.memory.clone(), step=self.step)
 
 
 @dataclass(frozen=True, slots=True)
@@ -207,7 +201,6 @@ def advance(state: OptimizerState, event: Event, cfg: StepConfig) -> tuple[Optim
     nxt = state.clone()
     nxt.w = w_next
     nxt.step = state.step + 1
-    nxt.prev_grad = g
     accepted = float(s @ y) > cfg.curvature_eps
     if accepted:
         nxt.memory.push(
@@ -277,7 +270,6 @@ def snapshot(state: OptimizerState, cfg: StepConfig) -> str:
         "config_digest": config_digest(cfg),
         "step": state.step,
         "w": _b64(state.w),
-        "prev_grad": None if state.prev_grad is None else _b64(state.prev_grad),
         "memory": {
             "tau": state.memory.tau,
             "gamma0": state.memory.gamma0,
@@ -315,10 +307,4 @@ def restore(text: str) -> OptimizerState:
                 created_at=int(p["created_at"]),
             )
         )
-    prev = doc.get("prev_grad")
-    return OptimizerState(
-        w=_unb64(doc["w"]),
-        memory=memory,
-        step=int(doc["step"]),
-        prev_grad=None if prev is None else _unb64(prev),
-    )
+    return OptimizerState(w=_unb64(doc["w"]), memory=memory, step=int(doc["step"]))

@@ -272,6 +272,16 @@ def test_results_csv_columns_and_cell_formats(tmp_path):
     path = tmp_path / "results.csv"
     write_results_csv([res], str(path))
     lines = path.read_text().splitlines()
+    # The documented schema (README "Output formats"), spelled out here so
+    # that a change to the dataclasses that derive it shows up as a failure.
+    assert lines[0] == (
+        "seed,regime,kappa,tau,deletion_mode,deletion_size,t_del,horizon,method,"
+        "initial_param_err,initial_mem_err,initial_state_err,final_state_err,"
+        "future_state_auc,future_param_auc,upd_dir_auc,direct_mass_at_del,"
+        "clearance_time,exact_recovery,avg_future_loss,auc_ratio_vs_noop,"
+        "rho_p1,rho_p2,rho_p3,replayed_events,extra_grad_evals,wall_clock_s,"
+        "alpha_bound,sigma_cert"
+    )
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert len(lines) == 1 + len(res.methods)
     header = lines[0].split(",")

@@ -69,6 +69,22 @@ def test_unknown_config_key_exits_1(capsys, tmp_path):
     assert main(["exp2", "--config", str(path)]) == 1
 
 
+def test_bad_seed_list_exits_1(capsys, tmp_path):
+    path = tmp_path / "exp.ini"
+    path.write_text(SMALL.replace("seeds = 7", "seeds = 0, x"))
+    assert main(["exp2", "--config", str(path)]) == 1
+    assert "config error: bad value 'x' for seeds" in capsys.readouterr().err
+
+
+def test_unknown_grid_axis_exits_1(capsys, tmp_path):
+    path = tmp_path / "grid.ini"
+    path.write_text(SMALL + "\n[grid]\nfoo = 1, 2\n")
+    assert main(["grid", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "foo" in err
+
+
 def test_unwritable_output_exits_2(capsys, small_cfg, tmp_path):
     target = tmp_path / "missing" / "dir" / "stream.txt"
     code = main(["gen-stream", "--config", str(small_cfg), "--out", str(target)])

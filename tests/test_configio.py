@@ -1,10 +1,14 @@
 """Flat key-value config files: loading, coercion, and grid axes."""
 
+from pathlib import Path
+
 import pytest
 
 from statealign.configio import load_config, load_grid_axes
 from statealign.errors import InvalidConfig
 from statealign.stream import DeletionMode, Regime
+
+SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.ini"))
 
 FULL = """\
 [stream]
@@ -70,6 +74,9 @@ def test_bad_values_name_the_key(tmp_path):
     path.write_text("[stream]\nregime = cubic\n")
     with pytest.raises(InvalidConfig, match="regime"):
         load_config(path)
+    path.write_text("[experiment]\nseeds = 0, x\n")
+    with pytest.raises(InvalidConfig, match="bad value 'x' for seeds"):
+        load_config(path)
 
 
 def test_missing_file_names_the_path(tmp_path):
@@ -87,11 +94,18 @@ def test_loaded_config_is_validated(tmp_path):
 
 def test_grid_axes_parse_typed_value_lists(tmp_path):
     path = tmp_path / "grid.ini"
-    path.write_text("[grid]\nkappa = 2.0, 8.0\ntau = 3, 5\ndeletion_mode = recent, random\n")
+    path.write_text(
+        "[grid]\nkappa = 2.0, 8.0\ntau = 3, 5\ndeletion_mode = recent, random\n"
+        "t_del = 30\nseed = 1, 2\nlength = 90\ngamma_mode = constant\n"
+    )
     axes = load_grid_axes(path)
     assert axes["kappa"] == [2.0, 8.0]
     assert axes["tau"] == [3, 5]
     assert axes["deletion_mode"] == ["recent", "random"]
+    assert axes["t_del"] == [30]
+    assert axes["seed"] == [1, 2]
+    assert axes["length"] == [90]
+    assert axes["gamma_mode"] == ["constant"]
 
 
 def test_grid_axis_without_values_is_rejected(tmp_path):
@@ -106,3 +120,21 @@ def test_inline_comments_are_stripped(tmp_path):
     path.write_text("[optimizer]\ntau = 7  # memory length\n")
     cfg = load_config(path)
     assert cfg.optimizer.tau == 7
+
+
+def test_grid_rejects_unknown_axes_and_bad_enum_values(tmp_path):
+    path = tmp_path / "grid.ini"
+    path.write_text("[grid]\nfoo = 1, 2\n")
+    with pytest.raises(InvalidConfig, match="foo"):
+        load_grid_axes(path)
+    path.write_text("[grid]\nregime = quadratic, cubic\n")
+    with pytest.raises(InvalidConfig, match="cubic"):
+        load_grid_axes(path)
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.name)
+def test_shipped_configs_load(path):
+    cfg = load_config(path)
+    assert cfg.seeds
+    if "[grid]" in path.read_text():
+        assert load_grid_axes(path)

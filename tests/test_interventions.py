@@ -6,7 +6,6 @@ import pytest
 from statealign.errors import InvalidConfig, MissingHistory
 from statealign.interventions import (
     DEFAULT_METHOD_IDS,
-    FutureMap,
     InterventionContext,
     InterventionKind,
     apply,
@@ -27,20 +26,18 @@ STREAM_CFG = StreamConfig(
 )
 
 
-def make_context(seed=0, mode=DeletionMode.RECENT, window_buffer=None, full_prefix=True):
+def make_context(seed=0, mode=DeletionMode.RECENT, full_prefix=True):
     strm = generate_stream(STREAM_CFG, seed)
     prefix = strm.prefix(40)
     theta0 = initial_state(6, CFG)
     actual = replay(theta0, prefix, CFG)
     deletions = select_deletion_set(strm, 40, mode, 5, grad_state=actual.w)
-    buf = prefix[-window_buffer:] if window_buffer else None
     return strm, prefix, InterventionContext(
         actual=actual,
         deletions=deletions,
         step_cfg=CFG,
         theta0=theta0,
         full_prefix=prefix if full_prefix else None,
-        window_buffer=buf,
     )
 
 
@@ -67,7 +64,6 @@ def test_oracle_equals_replay_of_edited_prefix():
     out = apply(parse_intervention("oracle", tau=5), ctx)
     np.testing.assert_array_equal(out.state.w, expected.w)
     assert out.cost.replayed_events == len(edited)
-    assert out.future_map is FutureMap.COUNTERFACTUAL
 
 
 def test_noop_and_retain_ft_return_unchanged_parameters():
@@ -112,7 +108,7 @@ def test_drop_refill_restarts_parameters_and_memory():
 
 
 def test_window_replay_with_full_coverage_matches_oracle_bitwise():
-    strm, prefix, ctx = make_context(window_buffer=40)
+    strm, prefix, ctx = make_context()
     oracle = apply(parse_intervention("oracle", tau=5), ctx)
     window = apply(parse_intervention("window:40", tau=5), ctx)
     np.testing.assert_array_equal(window.state.w, oracle.state.w)
@@ -123,7 +119,7 @@ def test_window_replay_with_full_coverage_matches_oracle_bitwise():
 
 
 def test_window_replay_shorter_window_differs_from_oracle():
-    strm, prefix, ctx = make_context(window_buffer=40)
+    strm, prefix, ctx = make_context()
     oracle = apply(parse_intervention("oracle", tau=5), ctx)
     short = apply(parse_intervention("window:10", tau=5), ctx)
     assert not np.array_equal(short.state.w, oracle.state.w)
@@ -131,7 +127,7 @@ def test_window_replay_shorter_window_differs_from_oracle():
 
 
 def test_window_replay_needs_a_buffer():
-    _, _, ctx = make_context(window_buffer=None)
+    _, _, ctx = make_context(full_prefix=False)
     with pytest.raises(MissingHistory):
         apply(parse_intervention("window_tau", tau=5), ctx)
 
@@ -167,10 +163,9 @@ def test_param_only_applies_damped_newton_removal():
 
 
 def test_all_methods_map_the_counterfactual_future():
-    _, _, ctx = make_context(window_buffer=40)
+    _, _, ctx = make_context()
     for mid in DEFAULT_METHOD_IDS:
         out = apply(parse_intervention(mid, tau=5), ctx)
-        assert out.future_map is FutureMap.COUNTERFACTUAL
         assert out.cost.wall_clock_seconds >= 0.0
         assert out.label == mid
 

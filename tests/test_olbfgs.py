@@ -1,5 +1,7 @@
 """Two-loop recursion against a dense-matrix oracle, plus state mechanics."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -241,13 +243,25 @@ def test_snapshot_roundtrip_is_bit_exact():
     back = restore(text)
     assert back.step == state.step
     np.testing.assert_array_equal(back.w, state.w)
-    np.testing.assert_array_equal(back.prev_grad, state.prev_grad)
     assert len(back.memory.pairs) == len(state.memory.pairs)
     for p, q in zip(state.memory.pairs, back.memory.pairs):
         np.testing.assert_array_equal(p.s, q.s)
         np.testing.assert_array_equal(p.y, q.y)
         assert p.sources == q.sources
         assert p.created_at == q.created_at
+
+
+def test_restore_rejects_a_version_1_snapshot():
+    strm = generate_stream(STREAM_CFG, seed=9)
+    cfg = StepConfig(eta=0.1, tau=4)
+    state = replay(initial_state(6, cfg), strm.prefix(15), cfg)
+    doc = json.loads(snapshot(state, cfg))
+    assert doc["version"] == 2
+    assert "prev_grad" not in doc
+    doc["version"] = 1
+    doc["prev_grad"] = None
+    with pytest.raises(InvalidConfig, match="version 1"):
+        restore(json.dumps(doc))
 
 
 def test_clone_isolates_mutation():
