@@ -3,10 +3,10 @@
 The single-deletion protocol trains on a prefix, selects a deletion set,
 builds the counterfactual reference by replaying the edited prefix from
 the global initial state, applies each configured intervention, then
-propagates every repaired state and the reference over one shared future
-segment while recording per-step discrepancies. A grid runner crosses
-configuration axes with derived per-point seeds, and an aggregator
-reduces rows to per-method summaries.
+steps the reference and every distinct repaired state in lockstep over
+one shared future segment while recording per-step discrepancies. A grid
+runner crosses configuration axes with derived per-point seeds, and an
+aggregator reduces rows to per-method summaries.
 """
 from __future__ import annotations
 
@@ -37,6 +37,7 @@ from .olbfgs import (
     direct_memory_mass,
     initial_state,
     replay,
+    snapshot,
     two_loop,
 )
 from .stream import (
@@ -163,15 +164,6 @@ RUN_KEY_COLUMNS = (
 CSV_COLUMNS = RUN_KEY_COLUMNS + tuple(f.name for f in fields(MethodResult))
 
 
-@dataclass
-class _Reference:
-    """Counterfactual trajectory unrolled over the shared future."""
-
-    ws: list[np.ndarray]
-    actions: list[np.ndarray]
-    directions: list[np.ndarray]
-
-
 def _hash_events(events: list[Event]) -> str:
     h = hashlib.sha256()
     for e in events:
@@ -190,64 +182,67 @@ def _hash_probes(probes: ProbeSet) -> str:
     return hashlib.sha256(probes.vectors.tobytes()).hexdigest()[:16]
 
 
-def _reference_trajectory(
-    state0: OptimizerState, future: list[Event], cfg: StepConfig, probes: ProbeSet
-) -> _Reference:
-    h = len(future)
-    ws: list[np.ndarray] = [None] * (h + 1)
-    actions: list[np.ndarray] = [None] * (h + 1)
-    directions: list[np.ndarray] = [None] * h
-    st = state0.clone()
-    for k in range(h + 1):
-        ws[k] = st.w
-        actions[k] = two_loop(st.memory, probes.vectors)
-        if k < h:
-            st, info = advance(st, future[k], cfg)
-            directions[k] = info.direction
-    return _Reference(ws=ws, actions=actions, directions=directions)
-
-
-def _propagate_and_measure(
-    state0: OptimizerState,
-    ref: _Reference,
+def _propagate_lanes(
+    oracle0: OptimizerState,
+    starts: list[OptimizerState],
     future: list[Event],
     cfg: StepConfig,
     probes: ProbeSet,
     memory_weight: float,
     deletions: DeletionSet,
-) -> MetricTrace:
-    h = len(future)
-    param = np.empty(h + 1)
-    memory = np.empty(h + 1)
-    state = np.empty(h + 1)
-    direction = np.full(h + 1, np.nan)
-    mass = np.zeros(h + 1, dtype=np.int64)
-    loss = np.full(h + 1, np.nan)
+) -> list[MetricTrace]:
+    """Step the oracle and every distinct start state in lockstep over `future`.
 
-    st = state0.clone()
+    Lane 0 is the oracle. Start states with equal snapshots (the same bits
+    in w, memory and step count) share one lane and one trace. Every lane,
+    lane 0 included, is measured against lane 0, so a start state equal to
+    the oracle gets exactly the trace its own propagation would give.
+    Returns one trace per start state, in order.
+    """
+    keys = [snapshot(st, cfg) for st in (oracle0, *starts)]
+    by_key = dict(zip(keys, (oracle0, *starts)))
+    lanes = list(by_key.values())
+
+    n, h = len(lanes), len(future)
+    param = np.empty((n, h + 1))
+    memory = np.empty((n, h + 1))
+    state = np.empty((n, h + 1))
+    direction = np.full((n, h + 1), np.nan)
+    mass = np.zeros((n, h + 1), dtype=np.int64)
+    loss = np.full((n, h + 1), np.nan)
+
     for k in range(h + 1):
-        e_w = metrics.param_error(st.w, ref.ws[k])
-        e_z = metrics.operator_action_error(two_loop(st.memory, probes.vectors), ref.actions[k])
-        param[k] = e_w
-        memory[k] = e_z
-        state[k] = metrics.state_error(e_w, e_z, memory_weight)
-        mass[k] = direct_memory_mass(st.memory, deletions)
+        actions = [two_loop(st.memory, probes.vectors) for st in lanes]
+        for i, st in enumerate(lanes):
+            e_w = metrics.param_error(st.w, lanes[0].w)
+            e_z = metrics.operator_action_error(actions[i], actions[0])
+            param[i, k] = e_w
+            memory[i, k] = e_z
+            state[i, k] = metrics.state_error(e_w, e_z, memory_weight)
+            mass[i, k] = direct_memory_mass(st.memory, deletions)
         if k < h:
-            st, info = advance(st, future[k], cfg)
-            try:
-                direction[k] = metrics.direction_gap(info.direction, ref.directions[k])
-            except metrics.DegenerateDirection:
-                pass
-            loss[k] = info.loss
-    return MetricTrace(
-        param_err=param,
-        memory_err=memory,
-        state_err=state,
-        direction_err=direction,
-        direct_mass=mass,
-        loss=loss,
-        memory_weight=memory_weight,
-    )
+            steps = [advance(st, future[k], cfg) for st in lanes]
+            lanes = [st for st, _ in steps]
+            ref_direction = steps[0][1].direction
+            for i, (_, info) in enumerate(steps):
+                try:
+                    direction[i, k] = metrics.direction_gap(info.direction, ref_direction)
+                except metrics.DegenerateDirection:
+                    pass
+                loss[i, k] = info.loss
+    traces = {
+        key: MetricTrace(
+            param_err=param[i],
+            memory_err=memory[i],
+            state_err=state[i],
+            direction_err=direction[i],
+            direct_mass=mass[i],
+            loss=loss[i],
+            memory_weight=memory_weight,
+        )
+        for i, key in enumerate(by_key)
+    }
+    return [traces[key] for key in keys[1:]]
 
 
 def _phase_fit(trace: np.ndarray, k_lo: int, k_hi: int) -> float:
@@ -350,32 +345,23 @@ def _run_single(
 
     future = [e for e in strm.future(t_del, horizon) if e.index not in deletions.indices]
     probes = make_probes(scfg.dimension, cfg.probe_count, seed)
-    ref = _reference_trajectory(oracle0, future, step_cfg, probes)
-
-    rows: list[MethodResult] = []
-    traces: dict[str, MetricTrace] = {}
-    noop_trace: MetricTrace | None = None
-    for method_id in method_ids:
-        spec = parse_intervention(method_id, tau)
-        intervened = apply_intervention(spec, ctx)
-        trace = _propagate_and_measure(
-            intervened.state, ref, future, step_cfg, probes, cfg.memory_weight, deletions
+    intervened = [apply_intervention(parse_intervention(m, tau), ctx) for m in method_ids]
+    method_traces = _propagate_lanes(
+        oracle0,
+        [iv.state for iv in intervened],
+        future,
+        step_cfg,
+        probes,
+        cfg.memory_weight,
+        deletions,
+    )
+    rows = [
+        _summarize_method(
+            iv.label, trace, iv.cost, tau, len(future), cfg.phase_policy, cfg.exact_recovery_eps
         )
-        rows.append(
-            _summarize_method(
-                intervened.label,
-                trace,
-                intervened.cost,
-                tau,
-                len(future),
-                cfg.phase_policy,
-                cfg.exact_recovery_eps,
-            )
-        )
-        if method_id == "noop":
-            noop_trace = trace
-        if keep_traces:
-            traces[intervened.label] = trace
+        for iv, trace in zip(intervened, method_traces)
+    ]
+    noop_trace = next((t for m, t in zip(method_ids, method_traces) if m == "noop"), None)
 
     noop_auc = next((r.future_state_auc for r in rows if r.method == "noop"), float("nan"))
     for row in rows:
@@ -433,7 +419,7 @@ def _run_single(
         future_hash=_hash_events(future),
         probe_hash=_hash_probes(probes),
         assumption_violations=violations,
-        traces=traces,
+        traces={iv.label: t for iv, t in zip(intervened, method_traces)} if keep_traces else {},
     )
 
 
@@ -471,7 +457,10 @@ def _apply_axis(cfg: ExperimentConfig, name: str, value) -> ExperimentConfig:
         return replace(cfg, seeds=(int(value),))
     part, f = grid_axis_field(name)
     if isinstance(f.default, Enum):
-        value = type(f.default)(value)
+        try:
+            value = type(f.default)(value)
+        except ValueError as exc:
+            raise InvalidAxis(f"bad value {value!r} for grid axis {name!r}") from exc
     return replace(cfg, **{part: replace(getattr(cfg, part), **{f.name: value})})
 
 
@@ -521,7 +510,8 @@ def run_grid(
     for name, values in axes.items():
         if not values:
             raise InvalidAxis(f"grid axis {name!r} has no values")
-        _apply_axis(base, name, values[0])
+        for value in values:
+            _apply_axis(base, name, value)
     points = grid_points(axes)
     jobs = [(base, p, derive_point_seed(base.seeds[0], p)) for p in points]
     if workers <= 1 or len(jobs) == 1:

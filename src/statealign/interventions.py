@@ -26,7 +26,6 @@ class InterventionKind(Enum):
     ORACLE_REPLAY = "oracle"
     NO_OP = "noop"
     PARAMETER_ONLY = "param_only"
-    RETAIN_FINE_TUNE = "retain_ft"
     FULL_MEMORY_RESET = "mem_reset"
     CONTAMINATED_PAIR_DROP = "pair_drop"
     WINDOW_REPLAY = "window"
@@ -55,16 +54,21 @@ def parse_intervention(method_id: str, tau: int) -> InterventionSpec:
     """Resolve a stable string id into a spec.
 
     window_tau / window_5tau bind the window to the memory length;
-    window:<n> names an explicit window.
+    window:<n> names an explicit window. retain_ft is noop under its own
+    label: retain-side fine-tuning changes no stored state at deletion time.
     """
+    if method_id == "retain_ft":
+        return InterventionSpec(InterventionKind.NO_OP, label=method_id)
     if method_id == "window_tau":
         return InterventionSpec(InterventionKind.WINDOW_REPLAY, window=tau, label=method_id)
     if method_id == "window_5tau":
         return InterventionSpec(InterventionKind.WINDOW_REPLAY, window=5 * tau, label=method_id)
     if method_id.startswith("window:"):
-        return InterventionSpec(
-            InterventionKind.WINDOW_REPLAY, window=int(method_id.split(":", 1)[1]), label=method_id
-        )
+        try:
+            window = int(method_id.split(":", 1)[1])
+        except ValueError as exc:
+            raise InvalidConfig(f"bad window length in intervention id {method_id!r}") from exc
+        return InterventionSpec(InterventionKind.WINDOW_REPLAY, window=window, label=method_id)
     for kind in InterventionKind:
         if kind.value == method_id and kind is not InterventionKind.WINDOW_REPLAY:
             return InterventionSpec(kind, label=method_id)
@@ -172,9 +176,7 @@ def apply(spec: InterventionSpec, ctx: InterventionContext) -> IntervenedState:
         edited = edit_history(ctx.full_prefix, ctx.deletions)
         state = replay(ctx.theta0, edited, ctx.step_cfg)
         replayed = len(edited)
-    elif kind in (InterventionKind.NO_OP, InterventionKind.RETAIN_FINE_TUNE):
-        # Retain-side fine-tuning changes no stored state at deletion time;
-        # it differs from NoOp only in how its future is interpreted.
+    elif kind is InterventionKind.NO_OP:
         state = ctx.actual.clone()
     elif kind is InterventionKind.PARAMETER_ONLY:
         state, n_deleted = _newton_parameter_correction(ctx)

@@ -13,7 +13,7 @@ import base64
 import hashlib
 import json
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -133,7 +133,6 @@ class StepInfo:
     """Byproducts of one update, recorded before the move."""
 
     loss: float
-    grad: np.ndarray
     direction: np.ndarray
     pair_accepted: bool
 
@@ -185,8 +184,8 @@ def two_loop(memory: MemoryState, q: np.ndarray) -> np.ndarray:
 def advance(state: OptimizerState, event: Event, cfg: StepConfig) -> tuple[OptimizerState, StepInfo]:
     """One online update consuming an insert event.
 
-    Returns the successor state together with the pre-move loss, gradient
-    and search direction. The input state is not modified.
+    Returns the successor state together with the pre-move loss and
+    search direction. The input state is not modified.
     """
     if event.op is not EventOp.INSERT:
         raise NonInsertEvent("optimizer steps consume insert events only")
@@ -206,7 +205,7 @@ def advance(state: OptimizerState, event: Event, cfg: StepConfig) -> tuple[Optim
         nxt.memory.push(
             CurvaturePair(s=s, y=y, sources=frozenset((event.index,)), created_at=nxt.step)
         )
-    return nxt, StepInfo(loss=loss, grad=g, direction=direction, pair_accepted=accepted)
+    return nxt, StepInfo(loss=loss, direction=direction, pair_accepted=accepted)
 
 
 def step(state: OptimizerState, event: Event, cfg: StepConfig) -> OptimizerState:
@@ -241,17 +240,7 @@ def direct_memory_mass(memory: MemoryState, deletions: DeletionSet) -> int:
 
 
 def config_digest(cfg: StepConfig) -> str:
-    text = json.dumps(
-        {
-            "eta": cfg.eta,
-            "curvature_eps": cfg.curvature_eps,
-            "gamma_mode": cfg.gamma_mode,
-            "gamma0": cfg.gamma0,
-            "tau": cfg.tau,
-            "ridge": cfg.ridge,
-        },
-        sort_keys=True,
-    )
+    text = json.dumps(asdict(cfg), sort_keys=True)
     return hashlib.sha256(text.encode("ascii")).hexdigest()[:16]
 
 

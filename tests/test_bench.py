@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from statealign import bench
 from statealign.bench import (
     CSV_COLUMNS,
     SUMMARY_COLUMNS,
@@ -26,7 +27,9 @@ from statealign.bench import (
     write_trace_csv,
 )
 from statealign.errors import EmptyResults, InvalidAxis, InvalidConfig
-from statealign.olbfgs import StepConfig
+from statealign.interventions import apply as apply_intervention, parse_intervention
+from statealign.metrics import make_probes
+from statealign.olbfgs import StepConfig, snapshot
 from statealign.stream import StreamConfig
 
 
@@ -126,6 +129,48 @@ def test_contraction_feeds_alpha_bound_and_sigma():
 
 
 # ---------------------------------------------------------------------------
+# Propagation lanes
+# ---------------------------------------------------------------------------
+
+
+def test_oracle_intervention_reproduces_the_oracle_state_bit_for_bit():
+    _, ctx, oracle0 = bench.prepare_run(small_config(), 7)
+    oracle = apply_intervention(parse_intervention("oracle", ctx.step_cfg.tau), ctx)
+    assert snapshot(oracle.state, ctx.step_cfg) == snapshot(oracle0, ctx.step_cfg)
+
+
+def test_identical_start_states_share_one_propagation(monkeypatch):
+    calls = []
+    real_advance = bench.advance
+
+    def counting_advance(*args):
+        calls.append(args)
+        return real_advance(*args)
+
+    monkeypatch.setattr(bench, "advance", counting_advance)
+    cfg = small_config(interventions=("oracle", "noop", "retain_ft"))
+    res = run_experiment2(cfg)
+    assert len(calls) == 2 * cfg.stream.horizon
+    assert res.traces["retain_ft"] is res.traces["noop"]
+    assert res.method_row("oracle").future_state_auc == 0.0
+
+
+def test_a_start_state_one_ulp_from_the_oracle_gets_its_own_lane():
+    cfg = small_config()
+    strm, ctx, oracle0 = bench.prepare_run(cfg, 7)
+    nudged = oracle0.clone()
+    nudged.w[0] = np.nextafter(nudged.w[0], np.inf)
+    future = strm.future(cfg.stream.deletion_time, cfg.stream.horizon)
+    probes = make_probes(cfg.stream.dimension, cfg.probe_count, 7)
+    same, apart = bench._propagate_lanes(
+        oracle0, [oracle0.clone(), nudged], future, ctx.step_cfg, probes, 1.0, ctx.deletions
+    )
+    assert apart is not same
+    assert same.state_auc() == 0.0
+    assert apart.param_err[0] > 0.0
+
+
+# ---------------------------------------------------------------------------
 # Grids
 # ---------------------------------------------------------------------------
 
@@ -176,6 +221,14 @@ def test_grid_rejects_unknown_axis_and_empty_values():
         run_grid(small_config(), {"teleport": [1]}, workers=1)
     with pytest.raises(InvalidAxis):
         run_grid(small_config(), {"kappa": []}, workers=1)
+
+
+def test_grid_checks_every_axis_value_before_any_point_runs(monkeypatch):
+    ran = []
+    monkeypatch.setattr(bench, "_run_single", lambda *args, **kwargs: ran.append(args))
+    with pytest.raises(InvalidAxis, match="cubic"):
+        run_grid(small_config(), {"regime": ["quadratic", "cubic"]}, workers=1)
+    assert ran == []
 
 
 def test_seed_axis_overrides_base_seed():

@@ -195,3 +195,11 @@ def test_unknown_intervention_id_exits_1(capsys, small_cfg):
     code = main(["inspect", "--config", str(small_cfg), "--intervention", "teleport"])
     assert code == 1
     assert "config error" in capsys.readouterr().err
+
+
+def test_bad_window_length_exits_1(capsys, small_cfg):
+    code = main(["inspect", "--config", str(small_cfg), "--intervention", "window:x"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "'window:x'" in err

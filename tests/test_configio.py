@@ -138,3 +138,10 @@ def test_shipped_configs_load(path):
     assert cfg.seeds
     if "[grid]" in path.read_text():
         assert load_grid_axes(path)
+
+
+def test_optimizer_ridge_is_rejected_in_favour_of_the_stream_ridge(tmp_path):
+    path = tmp_path / "exp.ini"
+    path.write_text("[optimizer]\nridge = 0.5\n")
+    with pytest.raises(InvalidConfig, match=r"\[stream\] ridge"):
+        load_config(path)

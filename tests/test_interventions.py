@@ -174,4 +174,4 @@ def test_kind_enum_covers_method_ids():
     kinds = {parse_intervention(mid, tau=4).kind for mid in DEFAULT_METHOD_IDS}
     assert InterventionKind.ORACLE_REPLAY in kinds
     assert InterventionKind.WINDOW_REPLAY in kinds
-    assert len(kinds) == 8  # window_tau and window_5tau share a kind
+    assert len(kinds) == 7  # window_tau and window_5tau share a kind, retain_ft is noop
