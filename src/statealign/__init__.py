@@ -63,7 +63,6 @@ from .stream import (
     DeletionMode,
     DeletionSet,
     Event,
-    EventOp,
     EventStream,
     LogisticSample,
     QuadraticSample,

@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import Field, asdict, dataclass, field, fields, replace
 from enum import Enum
@@ -47,6 +46,7 @@ from .stream import (
     LogisticSample,
     QuadraticSample,
     StreamConfig,
+    atomic_write,
     edit_history,
     generate_stream,
     select_deletion_set,
@@ -167,7 +167,8 @@ CSV_COLUMNS = RUN_KEY_COLUMNS + tuple(f.name for f in fields(MethodResult))
 def _hash_events(events: list[Event]) -> str:
     h = hashlib.sha256()
     for e in events:
-        h.update(f"{e.time},{e.op.value},{e.index};".encode("ascii"))
+        # The literal 'insert' keeps the hashed bytes, and so every future_hash, stable.
+        h.update(f"{e.time},insert,{e.index};".encode("ascii"))
         p = e.payload
         if isinstance(p, QuadraticSample):
             h.update(p.hessian.tobytes())
@@ -619,19 +620,12 @@ def result_rows(result: RunResult) -> list[dict]:
     return [{**key, **asdict(m)} for m in result.methods]
 
 
-def _atomic_write(path: str, text: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="ascii") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
 def write_results_csv(results: list[RunResult], path: str) -> None:
     lines = [",".join(CSV_COLUMNS)]
     for res in results:
         for row in result_rows(res):
             lines.append(",".join(_format_cell(row[c]) for c in CSV_COLUMNS))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def write_results_json(results: list[RunResult], path: str) -> None:
@@ -646,7 +640,7 @@ def write_results_json(results: list[RunResult], path: str) -> None:
                 "assumption_violations": res.assumption_violations,
             }
         )
-    _atomic_write(path, json.dumps(docs, indent=2, sort_keys=True, allow_nan=True) + "\n")
+    atomic_write(path, json.dumps(docs, indent=2, sort_keys=True, allow_nan=True) + "\n")
 
 
 def write_trace_csv(trace: MetricTrace, path: str) -> None:
@@ -662,11 +656,11 @@ def write_trace_csv(trace: MetricTrace, path: str) -> None:
             repr(float(trace.loss[k])),
         )
         lines.append(",".join(cells))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def write_summary_csv(summary: list[dict], path: str) -> None:
     lines = [",".join(SUMMARY_COLUMNS)]
     for row in summary:
         lines.append(",".join(_format_cell(row[c]) for c in SUMMARY_COLUMNS))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")

@@ -23,7 +23,7 @@ from .errors import (
 )
 from .metrics import ProbeSet, make_probes, memory_operator_error, param_error, state_error
 from .olbfgs import CurvaturePair, MemoryState, OptimizerState, StepConfig, initial_state, step
-from .stream import Event, EventOp
+from .stream import Event, LogisticSample
 
 
 @dataclass(frozen=True)
@@ -174,29 +174,27 @@ def contraction_ratios(
 
     Each trial perturbs the state reached after a sampled number of events
     and steps both copies with the next event; the ratio is the combined
-    state error after over before. Insert-only histories are required.
+    state error after over before.
     """
-    inserts = [e for e in history if e.op is EventOp.INSERT]
-    if not inserts:
-        raise InvalidConfig("contraction estimation needs at least one insert event")
+    if not history:
+        raise InvalidConfig("contraction estimation needs at least one event")
     if trials < 1:
         raise InvalidConfig("trials must be >= 1")
-    d = inserts[0].payload.features.shape[0] if hasattr(inserts[0].payload, "features") else (
-        inserts[0].payload.minimizer.shape[0]
-    )
+    first = history[0].payload
+    d = (first.features if isinstance(first, LogisticSample) else first.minimizer).shape[0]
     if probes is None:
         probes = make_probes(d, 32, seed)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x636F6E74)))
-    positions = sorted(int(p) for p in rng.integers(0, len(inserts), size=trials))
+    positions = sorted(int(p) for p in rng.integers(0, len(history), size=trials))
 
     ratios: list[float] = []
     state = initial_state(d, cfg)
     consumed = 0
     for pos in positions:
         while consumed < pos:
-            state = step(state, inserts[consumed], cfg)
+            state = step(state, history[consumed], cfg)
             consumed += 1
-        probe_event = inserts[pos]
+        probe_event = history[pos]
         base = state.clone()
         pert = _perturbed_copy(state, rng, perturb_scale, perturb_memory)
         before = state_error(

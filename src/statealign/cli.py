@@ -159,11 +159,9 @@ def _cmd_certify(args) -> int:
 def _cmd_inspect(args) -> int:
     if args.stream:
         strm = read_stream(args.stream)
-        kinds = {}
-        for e in strm.events:
-            kinds[e.op.value] = kinds.get(e.op.value, 0) + 1
-        print(f"stream seed={strm.seed} regime={strm.regime.value} dimension={strm.dimension}")
-        print(f"events {len(strm.events)} " + " ".join(f"{k}={v}" for k, v in sorted(kinds.items())))
+        scfg = strm.config
+        print(f"stream seed={strm.seed} regime={scfg.regime.value} dimension={scfg.dimension}")
+        print(f"events {len(strm.events)}")
         return EXIT_OK
     cfg = _load_cfg(args, bench.experiment2_defaults())
     seed = args.seed if args.seed is not None else cfg.seeds[0]

@@ -27,10 +27,6 @@ class MissingGradState(StateAlignError):
     """Gradient-ranked deletion needs the parameter vector at t_del."""
 
 
-class NonInsertEvent(StateAlignError):
-    """The optimizer step consumes insert events only."""
-
-
 class MissingHistory(StateAlignError):
     """A replay-based intervention was given no event buffer."""
 

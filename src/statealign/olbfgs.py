@@ -17,8 +17,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidConfig, NonInsertEvent
-from .stream import DeletionSet, Event, EventOp, loss_and_grad
+from .errors import DimensionMismatch, InvalidConfig
+from .stream import DeletionSet, Event, loss_and_grad
 
 SNAPSHOT_VERSION = 2
 
@@ -182,13 +182,11 @@ def two_loop(memory: MemoryState, q: np.ndarray) -> np.ndarray:
 
 
 def advance(state: OptimizerState, event: Event, cfg: StepConfig) -> tuple[OptimizerState, StepInfo]:
-    """One online update consuming an insert event.
+    """One online update consuming one event.
 
     Returns the successor state together with the pre-move loss and
     search direction. The input state is not modified.
     """
-    if event.op is not EventOp.INSERT:
-        raise NonInsertEvent("optimizer steps consume insert events only")
     loss, g = loss_and_grad(event.payload, state.w, cfg.ridge)
     direction = -two_loop(state.memory, g)
     w_next = state.w + cfg.eta * direction
@@ -213,20 +211,13 @@ def step(state: OptimizerState, event: Event, cfg: StepConfig) -> OptimizerState
 
 
 def replay(theta0: OptimizerState, history: list[Event], cfg: StepConfig) -> OptimizerState:
-    """Left fold of `step` over a history.
+    """Left fold of `step` over a history, starting from a copy of theta0.
 
-    Delete events change no state; they ban their index from any later
-    appearance in the same history. Insert events with a banned index are
-    skipped.
+    A counterfactual history is the prefix with deleted events removed by
+    `stream.edit_history`; every event given here is stepped.
     """
     state = theta0.clone()
-    banned: set[int] = set()
     for e in history:
-        if e.op is EventOp.DELETE:
-            banned.add(e.index)
-            continue
-        if e.index in banned:
-            continue
         state = step(state, e, cfg)
     return state
 
@@ -249,7 +240,7 @@ def _b64(a: np.ndarray) -> str:
 
 
 def _unb64(blob: str) -> np.ndarray:
-    return np.frombuffer(base64.b64decode(blob), dtype="<f8").copy()
+    return np.frombuffer(base64.b64decode(blob, validate=True), dtype="<f8").copy()
 
 
 def snapshot(state: OptimizerState, cfg: StepConfig) -> str:
@@ -278,22 +269,27 @@ def snapshot(state: OptimizerState, cfg: StepConfig) -> str:
 
 
 def restore(text: str) -> OptimizerState:
-    doc = json.loads(text)
-    if doc.get("version") != SNAPSHOT_VERSION:
-        raise InvalidConfig(f"unsupported snapshot version {doc.get('version')!r}")
-    mem_doc = doc["memory"]
-    memory = MemoryState(
-        tau=int(mem_doc["tau"]),
-        gamma0=float(mem_doc["gamma0"]),
-        gamma_mode=mem_doc["gamma_mode"],
-    )
-    for p in mem_doc["pairs"]:
-        memory.push(
-            CurvaturePair(
-                s=_unb64(p["s"]),
-                y=_unb64(p["y"]),
-                sources=frozenset(p["sources"]),
-                created_at=int(p["created_at"]),
-            )
+    """Rebuild the state a `snapshot` text holds; malformed text raises InvalidConfig."""
+    try:
+        doc = json.loads(text)
+        version = doc.get("version") if isinstance(doc, dict) else None
+        if version != SNAPSHOT_VERSION:
+            raise InvalidConfig(f"unsupported snapshot version {version!r}")
+        mem_doc = doc["memory"]
+        memory = MemoryState(
+            tau=int(mem_doc["tau"]),
+            gamma0=float(mem_doc["gamma0"]),
+            gamma_mode=mem_doc["gamma_mode"],
         )
-    return OptimizerState(w=_unb64(doc["w"]), memory=memory, step=int(doc["step"]))
+        for p in mem_doc["pairs"]:
+            memory.push(
+                CurvaturePair(
+                    s=_unb64(p["s"]),
+                    y=_unb64(p["y"]),
+                    sources=frozenset(int(i) for i in p["sources"]),
+                    created_at=int(p["created_at"]),
+                )
+            )
+        return OptimizerState(w=_unb64(doc["w"]), memory=memory, step=int(doc["step"]))
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+        raise InvalidConfig(f"malformed snapshot: {exc!r}") from exc

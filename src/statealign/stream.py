@@ -12,8 +12,10 @@ the same (config, seed) produces bit-identical events.
 from __future__ import annotations
 
 import base64
+import contextlib
 import math
-from dataclasses import dataclass, field, fields, replace
+import os
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -31,11 +33,6 @@ STREAM_FILE_VERSION = 1
 # Salt mixed into the sub-seed for the random deletion mode so the draw is
 # independent of the generator's own stream of draws.
 _DELETION_SEED_TAG = 0x64656C
-
-
-class EventOp(Enum):
-    INSERT = "insert"
-    DELETE = "delete"
 
 
 class Regime(Enum):
@@ -71,16 +68,17 @@ SamplePayload = QuadraticSample | LogisticSample
 
 @dataclass(frozen=True, slots=True)
 class Event:
-    op: EventOp
+    """One inserted sample: its stream index, its arrival time and its loss.
+
+    Events are never removed in-band; a deletion is a DeletionSet of
+    indices, applied to a history by `edit_history`.
+    """
+
     index: int
     time: int
-    payload: SamplePayload | None = None
+    payload: SamplePayload
 
     def __post_init__(self) -> None:
-        if self.op is EventOp.INSERT and self.payload is None:
-            raise InvalidConfig("insert events carry a payload")
-        if self.op is EventOp.DELETE and self.payload is not None:
-            raise InvalidConfig("delete events carry no payload")
         if self.index < 0:
             raise InvalidConfig("event index must be non-negative")
 
@@ -162,8 +160,6 @@ class StreamConfig:
 @dataclass
 class EventStream:
     events: list[Event]
-    dimension: int
-    regime: Regime
     config: StreamConfig
     seed: int
 
@@ -249,9 +245,9 @@ def gen_quadratic_stream(config: StreamConfig, seed: int) -> EventStream:
         else:
             h_t = h_static
         payload = QuadraticSample(hessian=h_t, minimizer=_freeze(a_t))
-        events.append(Event(op=EventOp.INSERT, index=t, time=t, payload=payload))
+        events.append(Event(index=t, time=t, payload=payload))
 
-    return EventStream(events=events, dimension=d, regime=Regime.QUADRATIC, config=config, seed=seed)
+    return EventStream(events=events, config=config, seed=seed)
 
 
 def gen_logistic_stream(config: StreamConfig, seed: int) -> EventStream:
@@ -280,9 +276,9 @@ def gen_logistic_stream(config: StreamConfig, seed: int) -> EventStream:
         p_plus = expit(float(x_t @ beta_t))
         label = 1 if rng.uniform() < p_plus else -1
         payload = LogisticSample(features=_freeze(x_t), label=label)
-        events.append(Event(op=EventOp.INSERT, index=t, time=t, payload=payload))
+        events.append(Event(index=t, time=t, payload=payload))
 
-    return EventStream(events=events, dimension=d, regime=Regime.LOGISTIC, config=config, seed=seed)
+    return EventStream(events=events, config=config, seed=seed)
 
 
 def generate_stream(config: StreamConfig, seed: int) -> EventStream:
@@ -322,10 +318,6 @@ def loss_hessian(payload: SamplePayload, w: np.ndarray, ridge: float = 0.0) -> n
     return p * (1.0 - p) * np.outer(x, x) + ridge * np.eye(x.shape[0])
 
 
-def _insert_events(events: list[Event], t_del: int) -> list[Event]:
-    return [e for e in events if e.op is EventOp.INSERT and e.time <= t_del]
-
-
 def select_deletion_set(
     stream: EventStream,
     t_del: int,
@@ -333,18 +325,18 @@ def select_deletion_set(
     size: int,
     grad_state: np.ndarray | None = None,
 ) -> DeletionSet:
-    """Pick `size` insert indices from the prefix at time t_del.
+    """Pick `size` event indices from the prefix at time t_del.
 
-    Recent/Old take the largest/smallest insert times. Random draws
+    Recent/Old take the largest/smallest event times. Random draws
     uniformly without replacement from a sub-seed derived from
     (stream seed, t_del), so it does not disturb the generator draws.
     HighGradient ranks events by gradient norm at the supplied parameter
     vector, breaking ties toward smaller time.
     """
-    candidates = _insert_events(stream.events, t_del)
+    candidates = stream.prefix(t_del)
     if size > len(candidates):
         raise InsufficientHistory(
-            f"requested {size} deletions but only {len(candidates)} inserts exist"
+            f"requested {size} deletions but only {len(candidates)} events exist"
         )
     if mode is DeletionMode.RECENT:
         chosen = candidates[-size:] if size else []
@@ -380,13 +372,31 @@ def edit_history(prefix: list[Event], deletions: DeletionSet) -> list[Event]:
 
 # ---------------------------------------------------------------------------
 # Line-record serialization: one event per line as
-#   time,op,index,payload-blob(base64)
-# preceded by '#' header lines carrying the config needed to decode blobs.
-# Blobs are little-endian float64: quadratic events pack H (row-major) then
-# a; logistic events pack x then the label.
+#   time,insert,index,payload-blob(base64)
+# preceded by two '#' header lines carrying the seed and the config needed
+# to decode blobs. Blobs are little-endian float64: quadratic events pack H
+# (row-major) then a; logistic events pack x then the label.
 # ---------------------------------------------------------------------------
 
+_HEADER = f"# statealign-stream v{STREAM_FILE_VERSION} seed="
 _CONFIG_ENUMS = {"regime": Regime, "deletion_mode": DeletionMode}
+
+
+def atomic_write(path: str, text: str) -> None:
+    """Write ASCII text to a temp file next to path, then rename it over path.
+
+    The temp name is unique to the process and gets the mode a plain
+    open(path, "w") gives; a failed write removes it and keeps the old file.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="ascii") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def _config_to_pairs(config: StreamConfig) -> list[tuple[str, str]]:
@@ -399,21 +409,22 @@ def _config_to_pairs(config: StreamConfig) -> list[tuple[str, str]]:
     return out
 
 
-def _config_from_pairs(pairs: dict[str, str]) -> StreamConfig:
+def _config_from_header(line: str) -> StreamConfig:
+    """The validated config of the `# key=value ...` line; raises ValueError or InvalidConfig."""
+    items = [item.partition("=") for item in line[2:].split()] if line.startswith("# ") else []
+    pairs = {key: raw for key, sep, raw in items if sep}
+    if len(pairs) != len(items) or sorted(pairs) != sorted(f.name for f in fields(StreamConfig)):
+        raise ValueError("the config line must set each StreamConfig field once as key=value")
     kwargs = {}
     for f in fields(StreamConfig):
-        if f.name not in pairs:
-            continue
-        raw = pairs[f.name]
-        if f.name in _CONFIG_ENUMS:
-            kwargs[f.name] = _CONFIG_ENUMS[f.name](raw)
-        elif f.type == "int":
-            kwargs[f.name] = int(raw)
-        elif f.type == "float":
-            kwargs[f.name] = float(raw)
-        else:
-            kwargs[f.name] = raw
-    return StreamConfig(**kwargs)
+        parse = _CONFIG_ENUMS.get(f.name) or (int if f.type == "int" else float)
+        try:
+            kwargs[f.name] = parse(pairs[f.name])
+        except ValueError:
+            raise ValueError(f"bad value {pairs[f.name]!r} for {f.name}") from None
+    config = StreamConfig(**kwargs)
+    config.validate()
+    return config
 
 
 def _payload_blob(payload: SamplePayload) -> str:
@@ -425,49 +436,56 @@ def _payload_blob(payload: SamplePayload) -> str:
 
 
 def _payload_from_blob(blob: str, regime: Regime, d: int) -> SamplePayload:
-    flat = np.frombuffer(base64.b64decode(blob), dtype="<f8")
+    """Decode one blob; raises ValueError when it is not valid for the regime."""
+    flat = np.frombuffer(base64.b64decode(blob, validate=True), dtype="<f8")
+    size = d * d + d if regime is Regime.QUADRATIC else d + 1
+    if flat.size != size:
+        raise ValueError(f"{regime.value} blob holds {flat.size} floats, not {size}")
     if regime is Regime.QUADRATIC:
-        if flat.size != d * d + d:
-            raise DimensionMismatch("quadratic blob has wrong size")
         h = _freeze(flat[: d * d].reshape(d, d).copy())
-        a = _freeze(flat[d * d :].copy())
-        return QuadraticSample(hessian=h, minimizer=a)
-    if flat.size != d + 1:
-        raise DimensionMismatch("logistic blob has wrong size")
-    x = _freeze(flat[:d].copy())
-    return LogisticSample(features=x, label=int(flat[d]))
+        return QuadraticSample(hessian=h, minimizer=_freeze(flat[d * d :].copy()))
+    if flat[d] not in (1.0, -1.0):
+        raise ValueError("logistic label must be +1 or -1")
+    return LogisticSample(features=_freeze(flat[:d].copy()), label=int(flat[d]))
 
 
 def write_stream(stream: EventStream, path: str) -> None:
-    lines = [f"# statealign-stream v{STREAM_FILE_VERSION} seed={stream.seed}"]
+    """Write the stream as a v1 line-record file, atomically."""
+    lines = [f"{_HEADER}{stream.seed}"]
     lines.append("# " + " ".join(f"{k}={v}" for k, v in _config_to_pairs(stream.config)))
+    # The op column stays, always 'insert', so v1 files keep their exact bytes.
     for e in stream.events:
-        blob = _payload_blob(e.payload) if e.payload is not None else ""
-        lines.append(f"{e.time},{e.op.value},{e.index},{blob}")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+        lines.append(f"{e.time},insert,{e.index},{_payload_blob(e.payload)}")
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def read_stream(path: str) -> EventStream:
-    with open(path, "r", encoding="ascii") as fh:
+    """Read a file written by `write_stream`.
+
+    A malformed header or row raises InvalidConfig naming the file and the
+    line; a file that cannot be opened raises OSError. Non-ASCII bytes
+    decode to U+FFFD, which no field accepts, so they fail on their line.
+    """
+    with open(path, "r", encoding="ascii", errors="replace") as fh:
         raw = fh.read().splitlines()
-    if not raw or not raw[0].startswith("# statealign-stream"):
-        raise InvalidConfig(f"{path} is not a stream file")
-    seed = int(raw[0].rsplit("seed=", 1)[1])
-    header = dict(item.split("=", 1) for item in raw[1][2:].split())
-    config = _config_from_pairs(header)
-    events: list[Event] = []
-    for line in raw[2:]:
-        if not line or line.startswith("#"):
-            continue
-        time_s, op_s, index_s, blob = line.split(",", 3)
-        op = EventOp(op_s)
-        payload = _payload_from_blob(blob, config.regime, config.dimension) if blob else None
-        events.append(Event(op=op, index=int(index_s), time=int(time_s), payload=payload))
-    return EventStream(
-        events=events,
-        dimension=config.dimension,
-        regime=config.regime,
-        config=config,
-        seed=seed,
-    )
+    lineno = 1
+    try:
+        if not raw or not raw[0].startswith(_HEADER):
+            raise ValueError(f"not a v{STREAM_FILE_VERSION} stream file header")
+        seed = int(raw[0][len(_HEADER) :])
+        lineno = 2
+        config = _config_from_header(raw[1] if len(raw) > 1 else "")
+        events: list[Event] = []
+        for lineno, line in enumerate(raw[2:], start=3):
+            if not line or line.startswith("#"):
+                continue
+            time_s, op, index_s, blob = line.split(",", 3)
+            if op != "insert":
+                raise ValueError(f"op {op!r} is not 'insert'; deletions are DeletionSets")
+            payload = _payload_from_blob(blob, config.regime, config.dimension)
+            events.append(Event(index=int(index_s), time=int(time_s), payload=payload))
+    except (ValueError, InvalidConfig) as exc:
+        raise InvalidConfig(f"{path}:{lineno}: {exc}") from exc
+    if len(events) != config.length:
+        raise InvalidConfig(f"{path}: header length={config.length} but {len(events)} event rows")
+    return EventStream(events=events, config=config, seed=seed)

@@ -180,7 +180,7 @@ def test_gen_stream_then_inspect_roundtrip(capsys, small_cfg, tmp_path):
     out = capsys.readouterr().out
     assert "seed=3" in out
     assert "dimension=6" in out
-    assert "insert=60" in out
+    assert "events 60" in out
 
 
 def test_inspect_applies_one_intervention(capsys, small_cfg):
@@ -203,3 +203,22 @@ def test_bad_window_length_exits_1(capsys, small_cfg):
     err = capsys.readouterr().err
     assert "config error" in err
     assert "'window:x'" in err
+
+
+def test_inspect_stream_with_a_delete_row_exits_1(capsys, small_cfg, tmp_path):
+    stream_path = tmp_path / "stream.txt"
+    assert main(["gen-stream", "--config", str(small_cfg), "--out", str(stream_path)]) == 0
+    lines = stream_path.read_text().splitlines()
+    lines[5] = "4,delete,4,"
+    stream_path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["inspect", "--stream", str(stream_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert f"{stream_path}:6: " in err
+    assert "'delete'" in err
+
+
+def test_inspect_missing_stream_exits_2(capsys, tmp_path):
+    assert main(["inspect", "--stream", str(tmp_path / "nope.txt")]) == 2
+    assert "runtime error" in capsys.readouterr().err

@@ -1,0 +1,68 @@
+"""Readers of outside text: edited stream files and snapshots fail typed.
+
+Each example deletes, inserts or truncates characters of a valid text.
+The reader either accepts the result or raises a StateAlignError; any
+other exception is a bug.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from golden.regenerate import GOLDEN_DIR, STREAM_FILES
+from statealign.errors import StateAlignError
+from statealign.olbfgs import StepConfig, initial_state, replay, restore, snapshot
+from statealign.stream import read_stream
+
+STREAMS = [GOLDEN_DIR / "stream" / name for name in sorted(STREAM_FILES)]
+
+EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(("delete", "insert", "truncate")),
+        st.integers(min_value=0, max_value=10**6),
+        st.one_of(st.sampled_from("0123456789,=#-.+/ eE\n"), st.characters()),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+def _edited(text: str, edits) -> str:
+    for kind, pos, ch in edits:
+        pos %= len(text) + 1
+        if kind == "delete":
+            text = text[:pos] + text[pos + 1 :]
+        elif kind == "insert":
+            text = text[:pos] + ch + text[pos:]
+        else:
+            text = text[:pos]
+    return text
+
+
+@pytest.fixture(scope="module")
+def edit_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("edited")
+
+
+@settings(max_examples=400, deadline=None)
+@given(which=st.integers(min_value=0, max_value=1), edits=EDITS)
+def test_edited_stream_file_reads_or_raises_a_statealign_error(edit_dir, which, edits):
+    path = edit_dir / "edited.stream"
+    path.write_text(_edited(STREAMS[which].read_text(), edits), encoding="utf-8")
+    try:
+        read_stream(str(path))
+    except StateAlignError:
+        pass
+
+
+CFG = StepConfig(eta=0.1, tau=3)
+SNAPSHOT = snapshot(replay(initial_state(3, CFG), read_stream(str(STREAMS[0])).prefix(4), CFG), CFG)
+
+
+@settings(max_examples=400, deadline=None)
+@given(edits=EDITS)
+def test_edited_snapshot_restores_or_raises_a_statealign_error(edits):
+    try:
+        restore(_edited(SNAPSHOT, edits))
+    except StateAlignError:
+        pass

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from statealign.errors import InvalidConfig, NonInsertEvent
+from statealign.errors import InvalidConfig
 from statealign.olbfgs import (
     CurvaturePair,
     MemoryState,
@@ -27,7 +27,6 @@ from statealign.stream import (
     DeletionMode,
     DeletionSet,
     Event,
-    EventOp,
     QuadraticSample,
     StreamConfig,
     generate_stream,
@@ -181,7 +180,7 @@ def test_advance_accepts_pair_and_tracks_provenance():
 def test_advance_rejects_flat_curvature():
     # zero Hessian gives zero gradient, so s = 0 and the pair must be refused
     flat = Event(
-        op=EventOp.INSERT, index=1, time=1,
+        index=1, time=1,
         payload=QuadraticSample(hessian=np.zeros((2, 2)), minimizer=np.zeros(2)),
     )
     state = initial_state(2, StepConfig(eta=0.1, tau=3))
@@ -198,13 +197,6 @@ def test_step_returns_advanced_state_only():
     via_step = step(state, strm.events[0], CFG)
     np.testing.assert_array_equal(via_advance.w, via_step.w)
     assert via_advance.step == via_step.step
-
-
-def test_advance_refuses_non_insert_events():
-    state = initial_state(3, CFG)
-    ghost = Event(op=EventOp.DELETE, index=4, time=4)
-    with pytest.raises(NonInsertEvent):
-        advance(state, ghost, CFG)
 
 
 def test_replay_is_deterministic_and_order_sensitive():

@@ -1,19 +1,22 @@
 """Stream generation: drift laws, spectra, deletion selection, serialization."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from golden.regenerate import GOLDEN_DIR
 from statealign.errors import InvalidConfig
 from statealign.stream import (
     DeletionMode,
     DeletionSet,
     Event,
-    EventOp,
     QuadraticSample,
     Regime,
     StreamConfig,
+    atomic_write,
     edit_history,
     generate_stream,
     loss_and_grad,
@@ -107,7 +110,6 @@ def test_stream_is_insert_only_with_index_equal_time():
     strm = generate_stream(SMALL, seed=0)
     assert len(strm.events) == SMALL.length
     for t, ev in enumerate(strm.events, start=1):
-        assert ev.op is EventOp.INSERT
         assert ev.index == t
         assert ev.time == t
 
@@ -259,3 +261,50 @@ def test_logistic_roundtrip_preserves_labels(tmp_path):
     for ev, ev2 in zip(strm.events, back.events):
         assert ev.payload.label == ev2.payload.label
         np.testing.assert_array_equal(ev.payload.features, ev2.payload.features)
+
+
+GOLDEN_STREAM = GOLDEN_DIR / "stream" / "quadratic.stream"
+
+
+@pytest.mark.parametrize(
+    "lineno, edit",
+    [
+        pytest.param(1, lambda line: line.replace("seed=3", "3"), id="header-without-seed"),
+        pytest.param(1, lambda line: line.replace("v1", "v9"), id="unknown-version"),
+        pytest.param(2, lambda line: line.replace("dimension=3", "dimension"), id="item-without-value"),
+        pytest.param(2, lambda line: line.replace(" horizon=2", ""), id="missing-key"),
+        pytest.param(2, lambda line: line.replace("length=6", "length=six"), id="bad-int"),
+        pytest.param(2, lambda line: line.replace("horizon=2", "horizon=9"), id="invalid-config"),
+        pytest.param(3, lambda line: line.replace(",insert,", ","), id="short-row"),
+        pytest.param(4, lambda line: line[:-3], id="truncated-blob"),
+        pytest.param(5, lambda line: "x" + line, id="bad-time"),
+        pytest.param(6, lambda line: "4,delete,4,", id="delete-row"),
+    ],
+)
+def test_malformed_stream_file_raises_invalid_config_naming_the_line(tmp_path, lineno, edit):
+    path = tmp_path / "s.txt"
+    lines = GOLDEN_STREAM.read_text().splitlines()
+    lines[lineno - 1] = edit(lines[lineno - 1])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(InvalidConfig, match=f"^{re.escape(str(path))}:{lineno}: "):
+        read_stream(str(path))
+
+
+def test_stream_file_with_missing_rows_is_rejected(tmp_path):
+    path = tmp_path / "s.txt"
+    path.write_text("\n".join(GOLDEN_STREAM.read_text().splitlines()[:-1]) + "\n")
+    with pytest.raises(InvalidConfig, match="length=6 but 5 event rows"):
+        read_stream(str(path))
+
+
+def test_failed_atomic_write_keeps_the_old_file_and_leaves_no_temp(tmp_path):
+    path = tmp_path / "out.txt"
+    atomic_write(str(path), "old\n")
+    with pytest.raises(UnicodeEncodeError):
+        atomic_write(str(path), "new \u00e9\n")
+    assert path.read_text() == "old\n"
+    assert list(tmp_path.iterdir()) == [path]
+    plain = tmp_path / "plain.txt"
+    with open(plain, "w") as fh:
+        fh.write("x")
+    assert path.stat().st_mode == plain.stat().st_mode
