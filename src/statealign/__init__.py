@@ -23,7 +23,6 @@ from .certify import (
     deviation_bound,
     deviation_bound_trace,
     empirical_contraction,
-    inject_noise,
 )
 from .interventions import (
     DEFAULT_METHOD_IDS,
@@ -36,7 +35,6 @@ from .interventions import (
 from .metrics import (
     DecayFit,
     MetricTrace,
-    ProbeSet,
     auc,
     direct_clearance_time,
     fit_decay_rate,
@@ -44,7 +42,6 @@ from .metrics import (
     memory_operator_error,
     param_error,
     state_error,
-    update_direction_error,
 )
 from .olbfgs import (
     CurvaturePair,
@@ -69,8 +66,6 @@ from .stream import (
     Regime,
     StreamConfig,
     edit_history,
-    gen_logistic_stream,
-    gen_quadratic_stream,
     generate_stream,
     loss_and_grad,
     loss_hessian,

@@ -28,7 +28,7 @@ from .interventions import (
     apply as apply_intervention,
     parse_intervention,
 )
-from .metrics import MetricTrace, ProbeSet, make_probes
+from .metrics import MetricTrace, make_probes
 from .olbfgs import (
     OptimizerState,
     StepConfig,
@@ -49,6 +49,7 @@ from .stream import (
     atomic_write,
     edit_history,
     generate_stream,
+    require_finite,
     select_deletion_set,
 )
 
@@ -70,21 +71,18 @@ class ExperimentConfig:
     interventions: tuple[str, ...] = DEFAULT_METHOD_IDS
     probe_count: int = 32
     memory_weight: float = 1.0
-    phase_policy: str = "auto"
     seeds: tuple[int, ...] = (0,)
     contraction_trials: int = 25
     privacy_epsilon: float = 1.0
     privacy_delta: float = 0.05
-    exact_recovery_eps: float = EXACT_RECOVERY_EPS
 
     def validate(self) -> None:
         self.stream.validate()
+        require_finite(self)
         if self.probe_count < 1:
             raise InvalidConfig("probe_count must be >= 1")
         if self.memory_weight < 0:
             raise InvalidConfig("memory_weight must be >= 0")
-        if self.phase_policy not in ("auto", "nominal"):
-            raise InvalidConfig("phase_policy must be 'auto' or 'nominal'")
         if not self.seeds:
             raise InvalidConfig("at least one seed is required")
         if self.contraction_trials < 0:
@@ -179,8 +177,8 @@ def _hash_events(events: list[Event]) -> str:
     return h.hexdigest()[:16]
 
 
-def _hash_probes(probes: ProbeSet) -> str:
-    return hashlib.sha256(probes.vectors.tobytes()).hexdigest()[:16]
+def _hash_probes(probes: np.ndarray) -> str:
+    return hashlib.sha256(probes.tobytes()).hexdigest()[:16]
 
 
 def _propagate_lanes(
@@ -188,7 +186,7 @@ def _propagate_lanes(
     starts: list[OptimizerState],
     future: list[Event],
     cfg: StepConfig,
-    probes: ProbeSet,
+    probes: np.ndarray,
     memory_weight: float,
     deletions: DeletionSet,
 ) -> list[MetricTrace]:
@@ -213,7 +211,7 @@ def _propagate_lanes(
     loss = np.full((n, h + 1), np.nan)
 
     for k in range(h + 1):
-        actions = [two_loop(st.memory, probes.vectors) for st in lanes]
+        actions = [two_loop(st.memory, probes) for st in lanes]
         for i, st in enumerate(lanes):
             e_w = metrics.param_error(st.w, lanes[0].w)
             e_z = metrics.operator_action_error(actions[i], actions[0])
@@ -239,7 +237,6 @@ def _propagate_lanes(
             direction_err=direction[i],
             direct_mass=mass[i],
             loss=loss[i],
-            memory_weight=memory_weight,
         )
         for i, key in enumerate(by_key)
     }
@@ -259,8 +256,6 @@ def _summarize_method(
     cost: InterventionCost,
     tau: int,
     horizon: int,
-    phase_policy: str,
-    exact_eps: float,
 ) -> MethodResult:
     state_auc = trace.state_auc()
     clearance = trace.clearance_time()
@@ -269,7 +264,7 @@ def _summarize_method(
     avg_loss = float(np.mean(finite_losses)) if finite_losses.size else float("nan")
 
     boundary = tau
-    if phase_policy == "auto" and clearance is not None and clearance <= 2 * tau:
+    if clearance is not None and clearance <= 2 * tau:
         boundary = clearance
     rho_p1 = _phase_fit(trace.state_err, 0, boundary - 1) if boundary >= 3 else float("nan")
     rho_p2 = (
@@ -290,7 +285,7 @@ def _summarize_method(
         upd_dir_auc=trace.direction_auc(),
         direct_mass_at_del=int(trace.direct_mass[0]),
         clearance_time=clearance,
-        exact_recovery=bool(state_auc <= exact_eps),
+        exact_recovery=bool(state_auc <= EXACT_RECOVERY_EPS),
         avg_future_loss=avg_loss,
         auc_ratio_vs_noop=float("nan"),
         rho_p1=rho_p1,
@@ -357,9 +352,7 @@ def _run_single(
         deletions,
     )
     rows = [
-        _summarize_method(
-            iv.label, trace, iv.cost, tau, len(future), cfg.phase_policy, cfg.exact_recovery_eps
-        )
+        _summarize_method(iv.label, trace, iv.cost, tau, len(future))
         for iv, trace in zip(intervened, method_traces)
     ]
     noop_trace = next((t for m, t in zip(method_ids, method_traces) if m == "noop"), None)

@@ -10,20 +10,17 @@ factor itself is estimated empirically from perturbed replays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InvalidConfig,
-    InvalidPrivacyParams,
-    InvalidRho,
-    LengthMismatch,
-    NegativeSigma,
-)
-from .metrics import ProbeSet, make_probes, memory_operator_error, param_error, state_error
-from .olbfgs import CurvaturePair, MemoryState, OptimizerState, StepConfig, initial_state, step
+from .errors import InvalidConfig, InvalidPrivacyParams, InvalidRho, LengthMismatch
+from .metrics import make_probes, memory_operator_error, param_error, state_error
+from .olbfgs import CurvaturePair, OptimizerState, StepConfig, initial_state, step
 from .stream import Event, LogisticSample
+
+# Size of the contraction trials' perturbation, relative to max(1, ||w||).
+PERTURB_SCALE = 1e-4
 
 
 @dataclass(frozen=True)
@@ -65,10 +62,6 @@ class Certificate:
     def exact(self) -> bool:
         return self.alpha == 0.0
 
-    @property
-    def total_delta(self) -> float:
-        return self.delta + self.beta
-
 
 def deviation_bound(inputs: BoundInputs, steps: int) -> float:
     """Closed-form gap bound after `steps` shared events.
@@ -101,10 +94,10 @@ def calibrate_sigma(alpha: float, epsilon: float, delta: float) -> float:
     sigma = alpha * sqrt(2 ln(1.25 / delta)) / epsilon; zero deviation
     needs zero noise.
     """
-    if alpha < 0:
-        raise InvalidPrivacyParams("alpha must be >= 0")
-    if epsilon <= 0:
-        raise InvalidPrivacyParams("epsilon must be > 0")
+    if not 0.0 <= alpha < math.inf:
+        raise InvalidPrivacyParams("alpha must be finite and >= 0")
+    if not 0.0 < epsilon < math.inf:
+        raise InvalidPrivacyParams("epsilon must be finite and > 0")
     if not 0.0 < delta < 1.0:
         raise InvalidPrivacyParams("delta must lie in (0, 1)")
     if alpha == 0.0:
@@ -113,8 +106,8 @@ def calibrate_sigma(alpha: float, epsilon: float, delta: float) -> float:
 
 
 def certificate(alpha: float, epsilon: float, delta: float, beta: float = 0.0) -> Certificate:
-    if beta < 0:
-        raise InvalidPrivacyParams("beta must be >= 0")
+    if not 0.0 <= beta < math.inf:
+        raise InvalidPrivacyParams("beta must be finite and >= 0")
     return Certificate(
         alpha=alpha,
         sigma=calibrate_sigma(alpha, epsilon, delta),
@@ -124,26 +117,14 @@ def certificate(alpha: float, epsilon: float, delta: float, beta: float = 0.0) -
     )
 
 
-def inject_noise(state: OptimizerState, sigma: float, seed: int) -> OptimizerState:
-    """Add seeded isotropic Gaussian noise to the parameters only."""
-    if sigma < 0:
-        raise NegativeSigma("sigma must be >= 0")
-    out = state.clone()
-    if sigma == 0.0:
-        return out
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x6E6F6973)))
-    out.w = out.w + sigma * rng.standard_normal(out.w.shape[0])
-    return out
-
-
 def _perturbed_copy(
-    state: OptimizerState, rng: np.random.Generator, scale: float, perturb_memory: bool
+    state: OptimizerState, rng: np.random.Generator, perturb_memory: bool
 ) -> OptimizerState:
     out = state.clone()
     d = out.w.shape[0]
     u = rng.standard_normal(d)
     u /= np.linalg.norm(u)
-    delta = scale * max(1.0, float(np.linalg.norm(out.w)))
+    delta = PERTURB_SCALE * max(1.0, float(np.linalg.norm(out.w)))
     out.w = out.w + delta * u
     if perturb_memory and len(out.memory):
         jittered = []
@@ -165,10 +146,9 @@ def contraction_ratios(
     cfg: StepConfig,
     trials: int,
     seed: int,
-    probes: ProbeSet | None = None,
+    probes: np.ndarray | None = None,
     memory_weight: float = 1.0,
     perturb_memory: bool = True,
-    perturb_scale: float = 1e-4,
 ) -> list[float]:
     """One-step expansion ratios of the update map along a replayed history.
 
@@ -196,7 +176,7 @@ def contraction_ratios(
             consumed += 1
         probe_event = history[pos]
         base = state.clone()
-        pert = _perturbed_copy(state, rng, perturb_scale, perturb_memory)
+        pert = _perturbed_copy(state, rng, perturb_memory)
         before = state_error(
             param_error(base.w, pert.w),
             memory_operator_error(base.memory, pert.memory, probes),
@@ -222,10 +202,9 @@ def empirical_contraction(
     cfg: StepConfig,
     trials: int,
     seed: int,
-    probes: ProbeSet | None = None,
+    probes: np.ndarray | None = None,
     memory_weight: float = 1.0,
     perturb_memory: bool = True,
-    perturb_scale: float = 1e-4,
 ) -> float:
     """Worst observed one-step expansion ratio; >= 1 flags non-contraction."""
     return max(
@@ -237,6 +216,5 @@ def empirical_contraction(
             probes=probes,
             memory_weight=memory_weight,
             perturb_memory=perturb_memory,
-            perturb_scale=perturb_scale,
         )
     )

@@ -9,6 +9,7 @@ axis values, e.g. `kappa = 3, 10, 30`.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import fields, is_dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -33,7 +34,10 @@ def _coerce(raw: str, type_name: str, key: str):
         if type_name == "int":
             return int(raw)
         if type_name == "float":
-            return float(raw)
+            value = float(raw)
+            if not math.isfinite(value):
+                raise ValueError("not finite")
+            return value
     except ValueError as exc:
         raise InvalidConfig(f"bad value {raw!r} for {key}") from exc
     return raw
@@ -73,10 +77,10 @@ def _read(path: str | Path) -> configparser.ConfigParser:
     p = Path(path)
     if not p.is_file():
         raise InvalidConfig(f"config file not found: {p}")
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         parser.read(p, encoding="utf-8")
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise InvalidConfig(f"cannot parse {p}: {exc}") from exc
     return parser
 

@@ -27,10 +27,6 @@ class MissingGradState(StateAlignError):
     """Gradient-ranked deletion needs the parameter vector at t_del."""
 
 
-class MissingHistory(StateAlignError):
-    """A replay-based intervention was given no event buffer."""
-
-
 class DegenerateDirection(StateAlignError):
     """An update direction is too close to zero to compare angles."""
 
@@ -51,12 +47,8 @@ class InvalidRho(StateAlignError):
     """Deviation bounds require a contraction factor in (0, 1)."""
 
 
-class InvalidPrivacyParams(StateAlignError):
-    """Noise calibration requires eps > 0, delta in (0, 1), alpha >= 0."""
-
-
-class NegativeSigma(StateAlignError):
-    """Noise injection requires sigma >= 0."""
+class InvalidPrivacyParams(InvalidConfig):
+    """Noise calibration requires eps > 0, delta in (0, 1), alpha >= 0, all finite."""
 
 
 class InvalidAxis(StateAlignError):

@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidConfig, MissingHistory
+from .errors import InvalidConfig
 from .olbfgs import OptimizerState, StepConfig, initial_state, replay
 from .stream import DeletionSet, Event, loss_and_grad, loss_hessian, edit_history
 
@@ -99,16 +99,15 @@ class InterventionCost:
 class InterventionContext:
     """Everything a method may consult at deletion time.
 
-    full_prefix is the unedited history up to t_del (None when the caller
-    withholds it); window replay reads only its trailing events. theta0 is
-    the global initial state of the run.
+    full_prefix is the unedited history up to t_del; window replay reads
+    only its trailing events. theta0 is the global initial state of the run.
     """
 
     actual: OptimizerState
     deletions: DeletionSet
     step_cfg: StepConfig
     theta0: OptimizerState
-    full_prefix: list[Event] | None = None
+    full_prefix: list[Event]
 
 
 @dataclass
@@ -126,14 +125,8 @@ def _newton_parameter_correction(ctx: InterventionContext) -> tuple[OptimizerSta
     the mean diagonal of the aggregate Hessian, so the solve stays
     well-posed when deleted curvature is rank-deficient.
     """
-    if ctx.full_prefix is None:
-        raise MissingHistory("parameter correction needs the full prefix")
     state = ctx.actual.clone()
-    deleted = [
-        e
-        for e in ctx.full_prefix
-        if e.payload is not None and e.index in ctx.deletions.indices
-    ]
+    deleted = [e for e in ctx.full_prefix if e.index in ctx.deletions.indices]
     if not deleted:
         return state, 0
     d = state.w.shape[0]
@@ -156,8 +149,6 @@ def _window_replay(ctx: InterventionContext, window: int) -> tuple[OptimizerStat
     parameters with empty memory, so the result matches the oracle exactly
     only when the window covers the whole surviving history.
     """
-    if ctx.full_prefix is None:
-        raise MissingHistory("window replay needs the prefix")
     edited = edit_history(ctx.full_prefix[-window:], ctx.deletions)
     fresh = initial_state(ctx.actual.w.shape[0], ctx.step_cfg)
     return replay(fresh, edited, ctx.step_cfg), len(edited)
@@ -171,8 +162,6 @@ def apply(spec: InterventionSpec, ctx: InterventionContext) -> IntervenedState:
     kind = spec.kind
 
     if kind is InterventionKind.ORACLE_REPLAY:
-        if ctx.full_prefix is None:
-            raise MissingHistory("oracle replay needs the full prefix")
         edited = edit_history(ctx.full_prefix, ctx.deletions)
         state = replay(ctx.theta0, edited, ctx.step_cfg)
         replayed = len(edited)

@@ -20,37 +20,21 @@ from .errors import (
     IntervalTooShort,
     InvalidConfig,
 )
-from .olbfgs import MemoryState, OptimizerState, two_loop
-from .stream import Event, loss_and_grad
+from .olbfgs import MemoryState, two_loop
 
 DIRECTION_EPS = 1e-14
 FIT_FLOOR = 1e-15
 
 
-@dataclass(frozen=True)
-class ProbeSet:
-    """Fixed unit probe vectors, one per column; shared across methods."""
-
-    vectors: np.ndarray
-    seed: int
-
-    @property
-    def count(self) -> int:
-        return self.vectors.shape[1]
-
-    @property
-    def dimension(self) -> int:
-        return self.vectors.shape[0]
-
-
-def make_probes(dimension: int, count: int, seed: int) -> ProbeSet:
+def make_probes(dimension: int, count: int, seed: int) -> np.ndarray:
+    """Read-only (dimension, count) matrix of unit probe columns, shared across methods."""
     if dimension < 1 or count < 1:
         raise InvalidConfig("probe dimension and count must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x70726F62)))
     vecs = rng.standard_normal((dimension, count))
     vecs /= np.linalg.norm(vecs, axis=0, keepdims=True)
     vecs.flags.writeable = False
-    return ProbeSet(vectors=vecs, seed=seed)
+    return vecs
 
 
 def param_error(w_a: np.ndarray, w_b: np.ndarray) -> float:
@@ -65,10 +49,8 @@ def operator_action_error(action_a: np.ndarray, action_b: np.ndarray) -> float:
     return math.sqrt(float(np.mean(np.sum(diff * diff, axis=0))))
 
 
-def memory_operator_error(mem_a: MemoryState, mem_b: MemoryState, probes: ProbeSet) -> float:
-    return operator_action_error(
-        two_loop(mem_a, probes.vectors), two_loop(mem_b, probes.vectors)
-    )
+def memory_operator_error(mem_a: MemoryState, mem_b: MemoryState, probes: np.ndarray) -> float:
+    return operator_action_error(two_loop(mem_a, probes), two_loop(mem_b, probes))
 
 
 def state_error(param_err: float, memory_err: float, memory_weight: float = 1.0) -> float:
@@ -84,17 +66,6 @@ def direction_gap(d_a: np.ndarray, d_b: np.ndarray) -> float:
     if np.array_equal(d_a, d_b):
         return 0.0
     return 1.0 - float(d_a @ d_b) / (n_a * n_b)
-
-
-def update_direction_error(
-    theta_a: OptimizerState, theta_b: OptimizerState, event: Event, ridge: float = 0.0
-) -> float:
-    """Angle gap between the two states' update directions on one event."""
-    _, g_a = loss_and_grad(event.payload, theta_a.w, ridge)
-    _, g_b = loss_and_grad(event.payload, theta_b.w, ridge)
-    d_a = -two_loop(theta_a.memory, g_a)
-    d_b = -two_loop(theta_b.memory, g_b)
-    return direction_gap(d_a, d_b)
 
 
 def auc(values: np.ndarray | list[float]) -> float:
@@ -182,7 +153,6 @@ class MetricTrace:
     direction_err: np.ndarray
     direct_mass: np.ndarray
     loss: np.ndarray
-    memory_weight: float = 1.0
 
     def __len__(self) -> int:
         return int(self.state_err.size)

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidConfig
-from .stream import DeletionSet, Event, loss_and_grad
+from .stream import DeletionSet, Event, loss_and_grad, require_finite
 
 SNAPSHOT_VERSION = 2
 
@@ -104,6 +104,7 @@ class StepConfig:
     ridge: float = 0.0
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.eta <= 0:
             raise InvalidConfig("eta must be > 0")
         if self.curvature_eps < 0:
@@ -275,6 +276,7 @@ def restore(text: str) -> OptimizerState:
         version = doc.get("version") if isinstance(doc, dict) else None
         if version != SNAPSHOT_VERSION:
             raise InvalidConfig(f"unsupported snapshot version {version!r}")
+        w = _unb64(doc["w"])
         mem_doc = doc["memory"]
         memory = MemoryState(
             tau=int(mem_doc["tau"]),
@@ -282,14 +284,17 @@ def restore(text: str) -> OptimizerState:
             gamma_mode=mem_doc["gamma_mode"],
         )
         for p in mem_doc["pairs"]:
+            s, y = _unb64(p["s"]), _unb64(p["y"])
+            if s.shape != w.shape or y.shape != w.shape:
+                raise InvalidConfig(f"malformed snapshot: a pair vector is not {w.size} long")
             memory.push(
                 CurvaturePair(
-                    s=_unb64(p["s"]),
-                    y=_unb64(p["y"]),
+                    s=s,
+                    y=y,
                     sources=frozenset(int(i) for i in p["sources"]),
                     created_at=int(p["created_at"]),
                 )
             )
-        return OptimizerState(w=_unb64(doc["w"]), memory=memory, step=int(doc["step"]))
+        return OptimizerState(w=w, memory=memory, step=int(doc["step"]))
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise InvalidConfig(f"malformed snapshot: {exc!r}") from exc

@@ -85,14 +85,20 @@ class Event:
 
 @dataclass(frozen=True)
 class DeletionSet:
-    """Indices requested for removal at a given stream time."""
+    """Indices requested for removal."""
 
     indices: frozenset[int]
-    requested_at: int
-    mode: DeletionMode
 
     def __len__(self) -> int:
         return len(self.indices)
+
+
+def require_finite(cfg) -> None:
+    """Reject a NaN or infinite float field of a config dataclass."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise InvalidConfig(f"{f.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -131,6 +137,7 @@ class StreamConfig:
     horizon: int = 4500
 
     def validate(self) -> None:
+        require_finite(self)
         if self.dimension < 1:
             raise InvalidConfig("dimension must be >= 1")
         if self.length < 1:
@@ -359,7 +366,7 @@ def select_deletion_set(
         chosen = ranked[:size]
     else:  # pragma: no cover - exhaustive enum
         raise InvalidConfig(f"unknown deletion mode {mode}")
-    return DeletionSet(indices=frozenset(e.index for e in chosen), requested_at=t_del, mode=mode)
+    return DeletionSet(indices=frozenset(e.index for e in chosen))
 
 
 def edit_history(prefix: list[Event], deletions: DeletionSet) -> list[Event]:

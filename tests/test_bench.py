@@ -415,6 +415,6 @@ def test_config_validation_rejects_bad_knobs():
     with pytest.raises(InvalidConfig):
         small_config(seeds=()).validate()
     with pytest.raises(InvalidConfig):
-        small_config(phase_policy="sideways").validate()
+        small_config(memory_weight=float("nan")).validate()
     with pytest.raises(InvalidConfig):
         small_config(interventions=("noop", "teleport")).validate()

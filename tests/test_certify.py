@@ -17,16 +17,14 @@ from statealign.certify import (
     deviation_bound,
     deviation_bound_trace,
     empirical_contraction,
-    inject_noise,
 )
 from statealign.errors import (
     InvalidConfig,
     InvalidPrivacyParams,
     InvalidRho,
     LengthMismatch,
-    NegativeSigma,
 )
-from statealign.olbfgs import StepConfig, initial_state, replay
+from statealign.olbfgs import StepConfig
 from statealign.stream import StreamConfig, generate_stream
 
 
@@ -63,6 +61,22 @@ def test_sigma_rejects_bad_privacy_parameters():
         calibrate_sigma(-0.1, 1.0, 0.05)
 
 
+@pytest.mark.parametrize(
+    "alpha, eps, delta, beta",
+    [
+        (math.nan, 1.0, 0.05, 0.0),
+        (math.inf, 1.0, 0.05, 0.0),
+        (1.0, math.nan, 0.05, 0.0),
+        (1.0, math.inf, 0.05, 0.0),
+        (1.0, 1.0, math.nan, 0.0),
+        (1.0, 1.0, 0.05, math.nan),
+    ],
+)
+def test_certificate_rejects_non_finite_parameters(alpha, eps, delta, beta):
+    with pytest.raises(InvalidPrivacyParams):
+        certificate(alpha, eps, delta, beta)
+
+
 @given(
     alpha=st.floats(1e-9, 1e6),
     eps=st.floats(1e-3, 50.0),
@@ -81,7 +95,7 @@ def test_certificate_bundles_and_flags_exactness():
     assert isinstance(cert, Certificate)
     assert cert.sigma == calibrate_sigma(0.5, 1.0, 0.05)
     assert not cert.exact
-    assert cert.total_delta == pytest.approx(0.06)
+    assert (cert.delta, cert.beta) == (0.05, 0.01)
 
     exact = certificate(alpha=0.0, epsilon=1.0, delta=0.05)
     assert exact.exact
@@ -144,36 +158,6 @@ def test_bound_monotone_in_every_input(rho, delta0, bump, k):
     if rho < 0.98:
         higher = deviation_bound(BoundInputs(rho=rho + 0.01, delta0=delta0, perturbations=perts), k)
         assert higher >= base - 1e-12
-
-
-# -- noise injection ----------------------------------------------------------
-
-def test_inject_noise_zero_sigma_returns_equal_state():
-    strm = generate_stream(StreamConfig(dimension=4, length=30, deletion_time=15, horizon=10), 1)
-    cfg = StepConfig(eta=0.1, tau=3)
-    state = replay(initial_state(4, cfg), strm.prefix(10), cfg)
-    out = inject_noise(state, 0.0, seed=0)
-    np.testing.assert_array_equal(out.w, state.w)
-    out.w[0] += 1.0
-    assert out.w[0] != state.w[0]
-
-
-def test_inject_noise_perturbs_parameters_only_and_is_seeded():
-    strm = generate_stream(StreamConfig(dimension=4, length=30, deletion_time=15, horizon=10), 1)
-    cfg = StepConfig(eta=0.1, tau=3)
-    state = replay(initial_state(4, cfg), strm.prefix(10), cfg)
-    a = inject_noise(state, 0.5, seed=7)
-    b = inject_noise(state, 0.5, seed=7)
-    c = inject_noise(state, 0.5, seed=8)
-    np.testing.assert_array_equal(a.w, b.w)
-    assert not np.array_equal(a.w, c.w)
-    assert not np.array_equal(a.w, state.w)
-    for p, q in zip(a.memory.pairs, state.memory.pairs):
-        np.testing.assert_array_equal(p.s, q.s)
-        np.testing.assert_array_equal(p.y, q.y)
-
-    with pytest.raises(NegativeSigma):
-        inject_noise(state, -0.1, seed=0)
 
 
 # -- empirical contraction ----------------------------------------------------

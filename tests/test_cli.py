@@ -76,6 +76,52 @@ def test_bad_seed_list_exits_1(capsys, tmp_path):
     assert "config error: bad value 'x' for seeds" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "section, key",
+    [
+        ("optimizer", "eta"),
+        ("stream", "condition_number"),
+        ("stream", "mu"),
+        ("stream", "drift_period"),
+        ("optimizer", "gamma0"),
+    ],
+)
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_config_value_exits_1(capsys, tmp_path, section, key, value):
+    lines = [line for line in SMALL.splitlines() if not line.startswith(f"{key} =")]
+    at = lines.index(f"[{section}]") + 1
+    path = tmp_path / "exp.ini"
+    path.write_text("\n".join(lines[:at] + [f"{key} = {value}"] + lines[at:]) + "\n")
+    assert main(["exp2", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert f"config error: bad value '{value}' for {key}" in captured.err
+    assert "exact_recovery" not in captured.out
+
+
+def test_non_utf8_config_file_exits_1(capsys, tmp_path):
+    path = tmp_path / "exp.ini"
+    path.write_bytes(b"# r\xe9sum\xe9 in Latin-1\n" + SMALL.encode("ascii"))
+    assert main(["exp2", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "exp.ini" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--alpha", "0.25", "--eps", "0", "--delta", "0.05"],
+        ["--alpha", "0.25", "--eps", "1", "--delta", "1"],
+        ["--alpha", "nan", "--eps", "1", "--delta", "0.05"],
+    ],
+)
+def test_certify_bad_argument_exits_1(capsys, argv):
+    assert main(["certify", *argv]) == 1
+    captured = capsys.readouterr()
+    assert "config error" in captured.err
+    assert "sigma" not in captured.out
+
+
 def test_unknown_grid_axis_exits_1(capsys, tmp_path):
     path = tmp_path / "grid.ini"
     path.write_text(SMALL + "\n[grid]\nfoo = 1, 2\n")

@@ -77,6 +77,15 @@ def test_bad_values_name_the_key(tmp_path):
     path.write_text("[experiment]\nseeds = 0, x\n")
     with pytest.raises(InvalidConfig, match="bad value 'x' for seeds"):
         load_config(path)
+    path.write_text("[stream]\ndimension = 2%5\n")
+    with pytest.raises(InvalidConfig, match="bad value '2%5' for dimension"):
+        load_config(path)
+    path.write_text("[experiment]\nprivacy_epsilon = nan\n")
+    with pytest.raises(InvalidConfig, match="bad value 'nan' for privacy_epsilon"):
+        load_config(path)
+    path.write_text("[grid]\nkappa = 2.0, inf\n")
+    with pytest.raises(InvalidConfig, match="bad value 'inf' for kappa"):
+        load_grid_axes(path)
 
 
 def test_missing_file_names_the_path(tmp_path):

@@ -1,16 +1,21 @@
-"""Readers of outside text: edited stream files and snapshots fail typed.
+"""Readers of outside text: edited stream files, snapshots, config files
+and method ids fail typed.
 
-Each example deletes, inserts or truncates characters of a valid text.
-The reader either accepts the result or raises a StateAlignError; any
-other exception is a bug.
+Each example deletes, inserts or truncates characters (for config files,
+bytes) of a valid text. The reader either accepts the result or raises a
+StateAlignError; any other exception is a bug.
 """
+
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from golden.regenerate import GOLDEN_DIR, STREAM_FILES
+from statealign.configio import load_config, load_grid_axes
 from statealign.errors import StateAlignError
+from statealign.interventions import parse_intervention
 from statealign.olbfgs import StepConfig, initial_state, replay, restore, snapshot
 from statealign.stream import read_stream
 
@@ -64,5 +69,47 @@ SNAPSHOT = snapshot(replay(initial_state(3, CFG), read_stream(str(STREAMS[0])).p
 def test_edited_snapshot_restores_or_raises_a_statealign_error(edits):
     try:
         restore(_edited(SNAPSHOT, edits))
+    except StateAlignError:
+        pass
+
+
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.ini"))
+
+BYTE_EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(("delete", "insert", "truncate")),
+        st.integers(min_value=0, max_value=10**6),
+        st.one_of(st.sampled_from(b"0123456789,=#;%[]-.+ eE\n:"), st.integers(0, 255)).map(
+            lambda byte: bytes((byte,))
+        ),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(which=st.integers(min_value=0, max_value=len(CONFIGS) - 1), edits=BYTE_EDITS)
+def test_edited_config_file_loads_or_raises_a_statealign_error(edit_dir, which, edits):
+    path = edit_dir / "edited.ini"
+    path.write_bytes(_edited(CONFIGS[which].read_bytes(), edits))
+    for load in (load_config, load_grid_axes):
+        try:
+            load(path)
+        except StateAlignError:
+            pass
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    method_id=st.one_of(
+        st.text(),
+        st.builds("{}{}".format, st.sampled_from(("window:", "window_", "noop")), st.text()),
+    ),
+    tau=st.integers(min_value=1, max_value=50),
+)
+def test_any_method_id_parses_or_raises_a_statealign_error(method_id, tau):
+    try:
+        parse_intervention(method_id, tau)
     except StateAlignError:
         pass

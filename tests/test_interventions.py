@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from statealign.errors import InvalidConfig, MissingHistory
+from statealign.errors import InvalidConfig
 from statealign.interventions import (
     DEFAULT_METHOD_IDS,
     InterventionContext,
@@ -26,7 +26,7 @@ STREAM_CFG = StreamConfig(
 )
 
 
-def make_context(seed=0, mode=DeletionMode.RECENT, full_prefix=True):
+def make_context(seed=0, mode=DeletionMode.RECENT):
     strm = generate_stream(STREAM_CFG, seed)
     prefix = strm.prefix(40)
     theta0 = initial_state(6, CFG)
@@ -37,7 +37,7 @@ def make_context(seed=0, mode=DeletionMode.RECENT, full_prefix=True):
         deletions=deletions,
         step_cfg=CFG,
         theta0=theta0,
-        full_prefix=prefix if full_prefix else None,
+        full_prefix=prefix,
     )
 
 
@@ -124,18 +124,6 @@ def test_window_replay_shorter_window_differs_from_oracle():
     short = apply(parse_intervention("window:10", tau=5), ctx)
     assert not np.array_equal(short.state.w, oracle.state.w)
     assert short.cost.replayed_events <= 10
-
-
-def test_window_replay_needs_a_buffer():
-    _, _, ctx = make_context(full_prefix=False)
-    with pytest.raises(MissingHistory):
-        apply(parse_intervention("window_tau", tau=5), ctx)
-
-
-def test_param_only_needs_full_prefix():
-    _, _, ctx = make_context(full_prefix=False)
-    with pytest.raises(MissingHistory):
-        apply(parse_intervention("param_only", tau=5), ctx)
 
 
 def test_param_only_applies_damped_newton_removal():

@@ -1,5 +1,6 @@
 """Two-loop recursion against a dense-matrix oracle, plus state mechanics."""
 
+import base64
 import json
 
 import numpy as np
@@ -24,7 +25,6 @@ from statealign.olbfgs import (
     two_loop,
 )
 from statealign.stream import (
-    DeletionMode,
     DeletionSet,
     Event,
     QuadraticSample,
@@ -145,9 +145,9 @@ def test_direct_memory_mass_counts_source_overlap():
     for t in range(1, 5):
         s = np.array([1.0, float(t)])
         mem.push(CurvaturePair(s=s, y=s, sources=frozenset({t}), created_at=t))
-    ds = DeletionSet(indices=frozenset({2, 4, 9}), requested_at=5, mode=DeletionMode.RANDOM)
+    ds = DeletionSet(indices=frozenset({2, 4, 9}))
     assert direct_memory_mass(mem, ds) == 2
-    empty = DeletionSet(indices=frozenset(), requested_at=5, mode=DeletionMode.RANDOM)
+    empty = DeletionSet(indices=frozenset())
     assert direct_memory_mass(mem, empty) == 0
 
 
@@ -254,6 +254,24 @@ def test_restore_rejects_a_version_1_snapshot():
     doc["prev_grad"] = None
     with pytest.raises(InvalidConfig, match="version 1"):
         restore(json.dumps(doc))
+
+
+def test_restore_rejects_a_pair_of_the_wrong_length():
+    cfg = StepConfig(eta=0.1, tau=4)
+    scfg = StreamConfig(dimension=3, length=20, deletion_time=10, horizon=5)
+    state = replay(initial_state(3, cfg), generate_stream(scfg, seed=9).prefix(10), cfg)
+    doc = json.loads(snapshot(state, cfg))
+    two_floats = np.array([1.0, 2.0], dtype="<f8").tobytes()
+    doc["memory"]["pairs"][0]["y"] = base64.b64encode(two_floats).decode("ascii")
+    with pytest.raises(InvalidConfig, match="malformed snapshot"):
+        restore(json.dumps(doc))
+
+
+@pytest.mark.parametrize("key", ["eta", "curvature_eps", "gamma0"])
+def test_step_config_rejects_non_finite_values(key):
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(InvalidConfig, match=key):
+            StepConfig(**{key: value})
 
 
 def test_clone_isolates_mutation():

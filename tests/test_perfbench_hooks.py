@@ -1,0 +1,69 @@
+"""The benchmark's traced, pooled path still finds and merges every hook.
+
+perfbench/hooks.py looks the hooked functions up by name, grid pool
+workers inherit its wrappers by fork, and their span tables are merged
+back into the parent's. A renamed function or a broken merge shows as a
+non-empty `missing` or `broken` list, or as zero calls. The run happens
+in a subprocess because the hooks patch the package for the rest of the
+process.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+TINY_GRID = """\
+[stream]
+dimension = 4
+length = 60
+deletion_time = 30
+deletion_size = 3
+horizon = 20
+
+[optimizer]
+eta = 0.1
+
+[experiment]
+interventions = oracle, noop, window_tau
+probe_count = 4
+contraction_trials = 3
+seeds = 0
+
+[grid]
+tau = 3, 5
+"""
+
+
+def test_traced_grid_run_merges_every_hook_from_two_workers(tmp_path):
+    config = tmp_path / "grid.ini"
+    config.write_text(TINY_GRID)
+    record_path = tmp_path / "record.json"
+    trace_dir = tmp_path / "trace"
+    trace_dir.mkdir()
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    argv = [
+        sys.executable, str(ROOT / "perfbench" / "child.py"), "run", str(record_path),
+        "--trace", str(trace_dir), "--",
+        "grid", "--config", str(config), "--workers", "2", "--out", str(tmp_path / "out"),
+    ]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+    record = json.loads(record_path.read_text())
+    assert record["rc"] == 0
+    assert record["trace"]["missing"] == []
+    assert record["trace"]["broken"] == []
+    assert record["workers_merged"] >= 1
+    stats = record["trace"]["stats"]
+    for span in (
+        "olbfgs.advance",
+        "bench.grid_point",
+        "olbfgs.two_loop.probe",
+        "olbfgs.two_loop.grad",
+        "certify.step",
+    ):
+        assert stats.get(span, [0])[0] > 0, span
