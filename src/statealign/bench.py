@@ -30,10 +30,9 @@ from .interventions import (
 )
 from .metrics import MetricTrace, make_probes
 from .olbfgs import (
+    LaneBank,
     OptimizerState,
     StepConfig,
-    advance,
-    direct_memory_mass,
     initial_state,
     replay,
     snapshot,
@@ -87,6 +86,10 @@ class ExperimentConfig:
             raise InvalidConfig("at least one seed is required")
         if self.contraction_trials < 0:
             raise InvalidConfig("contraction_trials must be >= 0")
+        if self.privacy_epsilon <= 0:
+            raise InvalidConfig("privacy_epsilon must be > 0")
+        if not 0 < self.privacy_delta < 1:
+            raise InvalidConfig("privacy_delta must lie in (0, 1)")
         for method_id in self.interventions:
             parse_intervention(method_id, self.optimizer.tau)
 
@@ -196,13 +199,15 @@ def _propagate_lanes(
     in w, memory and step count) share one lane and one trace. Every lane,
     lane 0 included, is measured against lane 0, so a start state equal to
     the oracle gets exactly the trace its own propagation would give.
-    Returns one trace per start state, in order.
+    The lanes step together in one LaneBank, with the bits that
+    `advance` and `two_loop` give lane by lane. Returns one trace per
+    start state, in order.
     """
     keys = [snapshot(st, cfg) for st in (oracle0, *starts)]
     by_key = dict(zip(keys, (oracle0, *starts)))
-    lanes = list(by_key.values())
+    bank = LaneBank(list(by_key.values()))
 
-    n, h = len(lanes), len(future)
+    n, h = len(by_key), len(future)
     param = np.empty((n, h + 1))
     memory = np.empty((n, h + 1))
     state = np.empty((n, h + 1))
@@ -211,24 +216,22 @@ def _propagate_lanes(
     loss = np.full((n, h + 1), np.nan)
 
     for k in range(h + 1):
-        actions = [two_loop(st.memory, probes) for st in lanes]
-        for i, st in enumerate(lanes):
-            e_w = metrics.param_error(st.w, lanes[0].w)
+        actions = two_loop(bank, probes)
+        for i in range(n):
+            e_w = metrics.param_error(bank.w[i], bank.w[0])
             e_z = metrics.operator_action_error(actions[i], actions[0])
             param[i, k] = e_w
             memory[i, k] = e_z
             state[i, k] = metrics.state_error(e_w, e_z, memory_weight)
-            mass[i, k] = direct_memory_mass(st.memory, deletions)
+        mass[:, k] = bank.direct_mass(deletions)
         if k < h:
-            steps = [advance(st, future[k], cfg) for st in lanes]
-            lanes = [st for st, _ in steps]
-            ref_direction = steps[0][1].direction
-            for i, (_, info) in enumerate(steps):
+            losses, directions = bank.move(future[k], cfg)
+            for i in range(n):
                 try:
-                    direction[i, k] = metrics.direction_gap(info.direction, ref_direction)
+                    direction[i, k] = metrics.direction_gap(directions[i], directions[0])
                 except metrics.DegenerateDirection:
                     pass
-                loss[i, k] = info.loss
+            loss[:, k] = losses
     traces = {
         key: MetricTrace(
             param_err=param[i],

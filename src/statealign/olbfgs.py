@@ -6,6 +6,8 @@ the two-loop direction with a constant step size, then forms
 s = w' - w and y = grad(w') - grad(w) from the same event, accepting the
 pair only when s'y exceeds a curvature threshold. Every pair records the
 event indices that produced it, which is what deletion audits consume.
+A LaneBank steps several states together with one batched two-loop per
+step and the same bits as stepping each state alone.
 """
 from __future__ import annotations
 
@@ -146,14 +148,131 @@ def initial_state(dimension: int, cfg: StepConfig) -> OptimizerState:
     return OptimizerState(w=np.zeros(dimension), memory=memory)
 
 
-def two_loop(memory: MemoryState, q: np.ndarray) -> np.ndarray:
+class LaneBank:
+    """Optimizer states stepped together, one lane each.
+
+    `w` is (lanes, d). S and Y are (lanes, tau, d) rings, right-aligned: a
+    lane holding n pairs keeps them oldest first in its last n slots, and
+    every empty slot holds zero vectors with rho = 0. rho and gamma are
+    cached at push time with the expressions `two_loop` evaluates, so the
+    batched recursion gives every lane its scalar result bit for bit.
+    `sources` keeps each lane's pair provenance, oldest first. len(bank) is
+    the deepest lane's pair count.
+    """
+
+    def __init__(self, states: list[OptimizerState]) -> None:
+        first = states[0].memory
+        self.tau, self.gamma0, self.gamma_mode = first.tau, first.gamma0, first.gamma_mode
+        for st in states:
+            mem = st.memory
+            if (mem.tau, mem.gamma0, mem.gamma_mode) != (self.tau, self.gamma0, self.gamma_mode):
+                raise InvalidConfig("lanes must share tau, gamma0 and gamma_mode")
+        self.w = np.array([st.w for st in states], dtype=np.float64)
+        m, d = self.w.shape
+        self.S = np.zeros((m, self.tau, d))
+        self.Y = np.zeros((m, self.tau, d))
+        self.rho = np.zeros((m, self.tau))
+        self.gamma = np.full(m, self.gamma0)
+        self.depth = np.zeros(m, dtype=np.int64)
+        self.sources = [deque(maxlen=self.tau) for _ in states]
+        for i, st in enumerate(states):
+            for p in st.memory.pairs:
+                self._push(np.array([i]), p.s[None, :], p.y[None, :], [float(p.s @ p.y)], [p.sources])
+
+    def __len__(self) -> int:
+        return int(self.depth.max())
+
+    def _push(self, lanes: np.ndarray, s: np.ndarray, y: np.ndarray, sy: list[float], sources) -> None:
+        """Append pair k = (s[k], y[k]), with s'y = sy[k], as the newest of lane lanes[k].
+
+        A full lane evicts its oldest pair.
+        """
+        for ring, new in ((self.S, s), (self.Y, y)):
+            ring[lanes, :-1] = ring[lanes, 1:]
+            ring[lanes, -1] = new
+        self.rho[lanes, :-1] = self.rho[lanes, 1:]
+        for k, i in enumerate(lanes):
+            self.rho[i, -1] = 1.0 / sy[k]
+            if self.gamma_mode == GAMMA_NEWEST_PAIR:
+                self.gamma[i] = sy[k] / float(y[k] @ y[k])
+            self.sources[i].append(sources[k])
+        self.depth[lanes] = np.minimum(self.depth[lanes] + 1, self.tau)
+
+    def direct_mass(self, deletions: DeletionSet) -> list[int]:
+        """Per lane, the stored pairs whose sources intersect the deleted indices."""
+        banned = deletions.indices
+        return [sum(1 for src in lane if src & banned) for lane in self.sources]
+
+    def move(self, event: Event, cfg: StepConfig) -> tuple[list[float], np.ndarray]:
+        """Every lane's `advance` on one event, in place.
+
+        Gradients are taken lane by lane; the directions come from one
+        batched two-loop. Returns the pre-move losses and the (lanes, d)
+        search directions.
+        """
+        w = self.w
+        losses, grads = zip(*(loss_and_grad(event.payload, wi, cfg.ridge) for wi in w))
+        g = np.array(grads)
+        direction = -_lanes_two_loop(self, g[:, :, None])[:, :, 0]
+        w_next = w + cfg.eta * direction
+        g_next = np.array([loss_and_grad(event.payload, wi, cfg.ridge)[1] for wi in w_next])
+        s = w_next - w
+        y = g_next - g
+        sy = [float(si @ yi) for si, yi in zip(s, y)]
+        accepted = np.flatnonzero([v > cfg.curvature_eps for v in sy])
+        if accepted.size:
+            sources = [frozenset((event.index,))] * accepted.size
+            self._push(accepted, s[accepted], y[accepted], [sy[i] for i in accepted], sources)
+        self.w = w_next
+        return list(losses), direction
+
+
+def _lanes_two_loop(bank: LaneBank, q: np.ndarray) -> np.ndarray:
+    """Each lane's `two_loop` on its own columns: q and the result are (lanes, d, m).
+
+    Slots are walked in the order the scalar recursion walks pairs, and every
+    dot product is a stacked (1, d) @ (d, m) matmul. In a slot that is empty
+    in some lanes, those lanes' updates are masked to exact identities
+    (subtract +0.0, add -0.0), so no value of q, inf and -0.0 included,
+    changes there.
+    """
+    r = np.array(q, dtype=np.float64, order="C")
+    tau, depth = bank.tau, bank.depth
+    oldest = tau - int(depth.max())
+    shared = tau - int(depth.min())  # slots from here on are filled in every lane
+    alphas = []
+    for j in range(tau - 1, oldest - 1, -1):
+        alpha = bank.rho[:, j, None] * (bank.S[:, j, None, :] @ r)[:, 0, :]
+        if j < shared:
+            alpha = np.where(depth[:, None] >= tau - j, alpha, 0.0)
+        r -= bank.Y[:, j, :, None] * alpha[:, None, :]
+        alphas.append(alpha)
+    r *= bank.gamma[:, None, None]
+    for j, alpha in zip(range(oldest, tau), reversed(alphas)):
+        beta = bank.rho[:, j, None] * (bank.Y[:, j, None, :] @ r)[:, 0, :]
+        coef = alpha - beta
+        if j < shared:
+            coef = np.where(depth[:, None] >= tau - j, coef, -0.0)
+        r += bank.S[:, j, :, None] * coef[:, None, :]
+    return r
+
+
+def two_loop(memory: MemoryState | LaneBank, q: np.ndarray) -> np.ndarray:
     """Apply the inverse-Hessian approximation of `memory` to q.
 
     q may be a single vector (d,) or a column stack (d, m); the operator is
     linear, so columns are transformed independently. Empty memory applies
-    gamma0 * I.
+    gamma0 * I. A LaneBank applies every lane's operator to the same q and
+    stacks the results, (lanes, d) or (lanes, d, m).
     """
     single = q.ndim == 1
+    if isinstance(memory, LaneBank):
+        block = q[:, None] if single else q
+        m, d = memory.w.shape
+        if block.shape[0] != d:
+            raise DimensionMismatch(f"probe dimension {block.shape[0]} != memory dimension {d}")
+        out = _lanes_two_loop(memory, np.broadcast_to(block, (m, *block.shape)))
+        return out[:, :, 0] if single else out
     qq = (q[:, None] if single else q).astype(np.float64, copy=True)
     pairs = memory.pairs
     if not pairs:

@@ -2,11 +2,12 @@
 
 import copy
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from statealign import bench
+from statealign import bench, metrics
 from statealign.bench import (
     CSV_COLUMNS,
     SUMMARY_COLUMNS,
@@ -27,10 +28,14 @@ from statealign.bench import (
     write_trace_csv,
 )
 from statealign.errors import EmptyResults, InvalidAxis, InvalidConfig
-from statealign.interventions import apply as apply_intervention, parse_intervention
-from statealign.metrics import make_probes
-from statealign.olbfgs import StepConfig, snapshot
-from statealign.stream import StreamConfig
+from statealign.interventions import (
+    DEFAULT_METHOD_IDS,
+    apply as apply_intervention,
+    parse_intervention,
+)
+from statealign.metrics import MetricTrace, make_probes
+from statealign.olbfgs import StepConfig, advance, direct_memory_mass, snapshot, two_loop
+from statealign.stream import Regime, StreamConfig
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -140,19 +145,113 @@ def test_oracle_intervention_reproduces_the_oracle_state_bit_for_bit():
 
 
 def test_identical_start_states_share_one_propagation(monkeypatch):
-    calls = []
-    real_advance = bench.advance
+    lanes = []
+    real_two_loop = bench.two_loop
 
-    def counting_advance(*args):
-        calls.append(args)
-        return real_advance(*args)
+    def counting_two_loop(memory, q):
+        lanes.append(memory.w.shape[0])
+        return real_two_loop(memory, q)
 
-    monkeypatch.setattr(bench, "advance", counting_advance)
+    monkeypatch.setattr(bench, "two_loop", counting_two_loop)
     cfg = small_config(interventions=("oracle", "noop", "retain_ft"))
     res = run_experiment2(cfg)
-    assert len(calls) == 2 * cfg.stream.horizon
+    assert lanes == [2] * (cfg.stream.horizon + 1)
     assert res.traces["retain_ft"] is res.traces["noop"]
     assert res.method_row("oracle").future_state_auc == 0.0
+
+
+def reference_propagation(oracle0, starts, future, cfg, probes, memory_weight, deletions):
+    """_propagate_lanes before the lane bank: scalar two_loop and advance, lane by lane."""
+    keys = [snapshot(st, cfg) for st in (oracle0, *starts)]
+    by_key = dict(zip(keys, (oracle0, *starts)))
+    lanes = list(by_key.values())
+
+    n, h = len(lanes), len(future)
+    param = np.empty((n, h + 1))
+    memory = np.empty((n, h + 1))
+    state = np.empty((n, h + 1))
+    direction = np.full((n, h + 1), np.nan)
+    mass = np.zeros((n, h + 1), dtype=np.int64)
+    loss = np.full((n, h + 1), np.nan)
+
+    for k in range(h + 1):
+        actions = [two_loop(st.memory, probes) for st in lanes]
+        for i, st in enumerate(lanes):
+            e_w = metrics.param_error(st.w, lanes[0].w)
+            e_z = metrics.operator_action_error(actions[i], actions[0])
+            param[i, k] = e_w
+            memory[i, k] = e_z
+            state[i, k] = metrics.state_error(e_w, e_z, memory_weight)
+            mass[i, k] = direct_memory_mass(st.memory, deletions)
+        if k < h:
+            steps = [advance(st, future[k], cfg) for st in lanes]
+            lanes = [st for st, _ in steps]
+            ref_direction = steps[0][1].direction
+            for i, (_, info) in enumerate(steps):
+                try:
+                    direction[i, k] = metrics.direction_gap(info.direction, ref_direction)
+                except metrics.DegenerateDirection:
+                    pass
+                loss[i, k] = info.loss
+    traces = {
+        key: MetricTrace(
+            param_err=param[i],
+            memory_err=memory[i],
+            state_err=state[i],
+            direction_err=direction[i],
+            direct_mass=mass[i],
+            loss=loss[i],
+        )
+        for i, key in enumerate(by_key)
+    }
+    return [traces[key] for key in keys[1:]]
+
+
+@pytest.mark.parametrize(
+    "stream_overrides, optimizer_overrides, diverges",
+    [
+        ({}, {}, False),
+        (
+            {"regime": Regime.LOGISTIC, "ridge": 0.01},
+            {"gamma_mode": "constant", "gamma0": 0.5},
+            False,
+        ),
+        ({"condition_number": 30.0}, {"tau": 12, "curvature_eps": 1e-3}, False),
+        # Every lane turns non-finite from about k = 50 on, some through inf.
+        (
+            {"length": 180, "deletion_time": 100, "horizon": 80, "condition_number": 1e5},
+            {"eta": 10.0, "tau": 10},
+            True,
+        ),
+    ],
+)
+def test_propagate_lanes_matches_the_per_lane_loop_bit_for_bit(
+    stream_overrides, optimizer_overrides, diverges
+):
+    """Equal bits everywhere, except that a NaN's sign bit may differ (it prints as nan)."""
+    cfg = small_config(interventions=DEFAULT_METHOD_IDS)
+    cfg = replace(
+        cfg,
+        stream=replace(cfg.stream, **stream_overrides),
+        optimizer=replace(cfg.optimizer, **optimizer_overrides),
+    )
+    strm, ctx, oracle0 = bench.prepare_run(cfg, 7)
+    tau = ctx.step_cfg.tau
+    starts = [apply_intervention(parse_intervention(m, tau), ctx).state for m in DEFAULT_METHOD_IDS]
+    future = strm.future(cfg.stream.deletion_time, cfg.stream.horizon)
+    probes = make_probes(cfg.stream.dimension, cfg.probe_count, 7)
+    args = (oracle0, starts, future, ctx.step_cfg, probes, 0.7, ctx.deletions)
+    with np.errstate(all="ignore"):
+        got = bench._propagate_lanes(*args)
+        want = reference_propagation(*args)
+    assert len({id(t) for t in got}) == len({id(t) for t in want})
+    assert any(not np.isfinite(t.state_err).all() for t in want) == diverges
+    for a, b in zip(got, want):
+        for name in ("param_err", "memory_err", "state_err", "direction_err", "direct_mass", "loss"):
+            x, y = getattr(a, name), getattr(b, name)
+            nan = np.isnan(x)
+            assert x.dtype == y.dtype and np.array_equal(nan, np.isnan(y)), name
+            assert x[~nan].tobytes() == y[~nan].tobytes(), name
 
 
 def test_a_start_state_one_ulp_from_the_oracle_gets_its_own_lane():

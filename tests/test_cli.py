@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from statealign import bench
 from statealign.cli import main
 
 SMALL = """\
@@ -96,6 +97,32 @@ def test_non_finite_config_value_exits_1(capsys, tmp_path, section, key, value):
     captured = capsys.readouterr()
     assert f"config error: bad value '{value}' for {key}" in captured.err
     assert "exact_recovery" not in captured.out
+
+
+@pytest.mark.parametrize("command", ["exp2", "grid"])
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("privacy_epsilon", "0"),
+        ("privacy_epsilon", "-1.5"),
+        ("privacy_delta", "0"),
+        ("privacy_delta", "1"),
+        ("privacy_delta", "1.5"),
+    ],
+)
+def test_out_of_range_privacy_value_exits_1_before_any_work(
+    capsys, monkeypatch, tmp_path, command, key, value
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a stream was generated for an invalid config")
+
+    monkeypatch.setattr(bench, "generate_stream", no_work)
+    path = tmp_path / "exp.ini"
+    path.write_text(SMALL + f"{key} = {value}\n")
+    assert main([command, "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert key in err
 
 
 def test_non_utf8_config_file_exits_1(capsys, tmp_path):

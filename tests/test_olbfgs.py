@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from statealign.errors import InvalidConfig
 from statealign.olbfgs import (
     CurvaturePair,
+    LaneBank,
     MemoryState,
     OptimizerState,
     StepConfig,
@@ -23,11 +24,13 @@ from statealign.olbfgs import (
     snapshot,
     step,
     two_loop,
+    _lanes_two_loop,
 )
 from statealign.stream import (
     DeletionSet,
     Event,
     QuadraticSample,
+    Regime,
     StreamConfig,
     generate_stream,
 )
@@ -129,6 +132,132 @@ def test_two_loop_preserves_positive_definiteness():
         mem = random_memory(rng, 4, 4)
         q = rng.normal(size=4)
         assert float(q @ two_loop(mem, q)) > 0.0
+
+
+# -- lane bank against the scalar path -----------------------------------------
+# Results are compared as raw bytes, so -0.0 against +0.0 counts as a
+# mismatch: the inputs include signed zeros and infinities. Only a NaN's sign
+# bit is let go, since a NaN prints as nan either way.
+
+SPECIAL = (0.0, -0.0, np.inf, -np.inf)
+
+
+def random_vector(rng, d, special_rate):
+    v = rng.normal(size=d) * 10.0 ** rng.integers(-3, 4)
+    hit = rng.random(d) < special_rate
+    v[hit] = rng.choice(SPECIAL, size=int(hit.sum()))
+    return v
+
+
+def lane_memory(rng, d, tau, gamma_mode, n_candidates, eps):
+    """Pushes n_candidates random pairs, rejecting those with s'y <= eps as advance does."""
+    mem = MemoryState(tau=tau, gamma0=0.5, gamma_mode=gamma_mode)
+    for t in range(n_candidates):
+        s = rng.normal(size=d)
+        y = rng.normal(size=d) + rng.uniform(-1.0, 2.0) * s
+        if float(s @ y) > eps:
+            mem.push(CurvaturePair(s=s, y=y, sources=frozenset({t}), created_at=t))
+    return mem
+
+
+def same_bits(a, b):
+    nan = np.isnan(a)
+    return a.shape == b.shape and np.array_equal(nan, np.isnan(b)) and (
+        a[~nan].tobytes() == b[~nan].tobytes()
+    )
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    lanes=st.integers(1, 5),
+    d=st.integers(1, 6),
+    tau=st.integers(1, 40),
+    columns=st.integers(1, 4),
+    gamma_mode=st.sampled_from(["newest_pair", "constant"]),
+    special_rate=st.sampled_from([0.0, 0.3]),
+)
+@settings(max_examples=150, deadline=None)
+def test_lane_bank_two_loop_matches_scalar_bit_for_bit(
+    seed, lanes, d, tau, columns, gamma_mode, special_rate
+):
+    rng = np.random.default_rng(seed)
+    # Lane depths vary from empty to past capacity (ring eviction), and some
+    # candidate pairs fail the curvature test.
+    memories = [
+        lane_memory(rng, d, tau, gamma_mode, int(rng.integers(0, 2 * tau + 2)), 0.1)
+        for _ in range(lanes)
+    ]
+    if lanes > 1:
+        memories[1].clear()
+    states = [OptimizerState(w=np.zeros(d), memory=m) for m in memories]
+    bank = LaneBank(states)
+    assert len(bank) == max(len(m) for m in memories)
+
+    shared = np.stack([random_vector(rng, d, special_rate) for _ in range(columns)], axis=1)
+    own = np.stack([random_vector(rng, d, special_rate) for _ in range(lanes)])
+    with np.errstate(invalid="ignore", over="ignore"):
+        block = two_loop(bank, shared)
+        assert block.shape == (lanes, d, columns)
+        vectors = two_loop(bank, shared[:, 0])
+        assert vectors.shape == (lanes, d)
+        for i, mem in enumerate(memories):
+            assert same_bits(block[i], two_loop(mem, shared))
+            assert same_bits(vectors[i], two_loop(mem, shared[:, 0]))
+
+        directions = _lanes_two_loop(bank, own[:, :, None])[:, :, 0]
+        for i, mem in enumerate(memories):
+            assert same_bits(directions[i], two_loop(mem, own[i]))
+
+
+@given(
+    seed=st.integers(0, 2**16),
+    tau=st.integers(1, 40),
+    logistic=st.booleans(),
+    gamma_mode=st.sampled_from(["newest_pair", "constant"]),
+    curvature_eps=st.sampled_from([1e-10, 1e-3, 1e-2]),
+)
+@settings(max_examples=30, deadline=None)
+def test_lane_bank_move_matches_advance_bit_for_bit(
+    seed, tau, logistic, gamma_mode, curvature_eps
+):
+    regime = Regime.LOGISTIC if logistic else Regime.QUADRATIC
+    scfg = StreamConfig(
+        dimension=4, length=120, deletion_time=60, horizon=50, regime=regime, ridge=0.01
+    )
+    cfg = StepConfig(
+        eta=0.2, tau=tau, gamma_mode=gamma_mode, curvature_eps=curvature_eps, ridge=scfg.ridge
+    )
+    events = generate_stream(scfg, seed).events
+    trained = replay(initial_state(4, cfg), events[:60], cfg)
+    reset = trained.clone()
+    reset.memory.clear()
+    short = replay(initial_state(4, cfg), events[50:60], cfg)
+    lanes = [trained, reset, short, initial_state(4, cfg)]
+    bank = LaneBank(lanes)
+    accepted = rejected = 0
+    for e in events[60:]:
+        losses, directions = bank.move(e, cfg)
+        for i, lane in enumerate(lanes):
+            lanes[i], info = advance(lane, e, cfg)
+            accepted += info.pair_accepted
+            rejected += not info.pair_accepted
+            assert losses[i] == info.loss
+            assert same_bits(directions[i], info.direction)
+            assert same_bits(bank.w[i], lanes[i].w)
+            pairs = lanes[i].memory.pairs
+            assert bank.depth[i] == len(pairs)
+            assert list(bank.sources[i]) == [p.sources for p in pairs]
+            for slot, p in zip(range(tau - len(pairs), tau), pairs):
+                assert same_bits(bank.S[i, slot], p.s) and same_bits(bank.Y[i, slot], p.y)
+    assert accepted > 0
+    assert len(bank) == max(len(lane.memory) for lane in lanes)
+
+
+def test_lane_bank_rejects_lanes_with_different_memory_settings():
+    a = initial_state(3, StepConfig(tau=4))
+    b = initial_state(3, StepConfig(tau=5))
+    with pytest.raises(InvalidConfig, match="lanes must share"):
+        LaneBank([a, b])
 
 
 # -- memory mechanics --------------------------------------------------------

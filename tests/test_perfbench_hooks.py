@@ -8,11 +8,13 @@ in a subprocess because the hooks patch the package for the rest of the
 process.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -38,9 +40,10 @@ tau = 3, 5
 """
 
 
-def test_traced_grid_run_merges_every_hook_from_two_workers(tmp_path):
+def traced_grid_run(tmp_path, config_text: str) -> dict:
+    """The record of `perfbench/child.py run --trace` over a 2-worker grid."""
     config = tmp_path / "grid.ini"
-    config.write_text(TINY_GRID)
+    config.write_text(config_text)
     record_path = tmp_path / "record.json"
     trace_dir = tmp_path / "trace"
     trace_dir.mkdir()
@@ -52,8 +55,11 @@ def test_traced_grid_run_merges_every_hook_from_two_workers(tmp_path):
     ]
     proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    return json.loads(record_path.read_text())
 
-    record = json.loads(record_path.read_text())
+
+def test_traced_grid_run_merges_every_hook_from_two_workers(tmp_path):
+    record = traced_grid_run(tmp_path, TINY_GRID)
     assert record["rc"] == 0
     assert record["trace"]["missing"] == []
     assert record["trace"]["broken"] == []
@@ -67,3 +73,20 @@ def test_traced_grid_run_merges_every_hook_from_two_workers(tmp_path):
         "certify.step",
     ):
         assert stats.get(span, [0])[0] > 0, span
+
+
+def test_traced_grid_without_contraction_trials_reports_every_layer_metric(tmp_path):
+    """Shaped like the grid-depth workload: the propagation alone applies the probes."""
+    record = traced_grid_run(
+        tmp_path, TINY_GRID.replace("contraction_trials = 3", "contraction_trials = 0")
+    )
+    assert record["rc"] == 0
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    # run.py sets thread variables in os.environ when it is imported, and its
+    # dataclasses look their module up in sys.modules.
+    with mock.patch.dict(os.environ), mock.patch.dict(sys.modules, {spec.name: run}):
+        spec.loader.exec_module(run)
+    layer = run.layer_metrics(record["trace"], record["workers_merged"])
+    assert [name for name, value in layer.items() if value is None] == []
+    assert layer["olbfgs.two_loop.probe.calls"] == 2 * 21
