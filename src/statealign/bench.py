@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from . import certify, metrics
-from .errors import EmptyResults, InvalidAxis, InvalidConfig
+from .errors import EmptyResults, IntervalTooShort, InvalidAxis, InvalidConfig
 from .interventions import (
     DEFAULT_METHOD_IDS,
     InterventionContext,
@@ -59,11 +59,7 @@ TRACE_COLUMNS = ("k", "E_w", "E_Z", "E_theta", "D_upd", "M_direct", "loss")
 
 @dataclass
 class ExperimentConfig:
-    """One benchmark run: a stream, an update rule, and measurement knobs.
-
-    The optimizer's ridge is always synced to the stream's ridge before
-    running, so the replayed loss matches the generating loss.
-    """
+    """One benchmark run: a stream, an update rule, and measurement knobs."""
 
     stream: StreamConfig = field(default_factory=StreamConfig)
     optimizer: StepConfig = field(default_factory=StepConfig)
@@ -196,14 +192,14 @@ def _propagate_lanes(
     """Step the oracle and every distinct start state in lockstep over `future`.
 
     Lane 0 is the oracle. Start states with equal snapshots (the same bits
-    in w, memory and step count) share one lane and one trace. Every lane,
-    lane 0 included, is measured against lane 0, so a start state equal to
-    the oracle gets exactly the trace its own propagation would give.
+    in w and memory) share one lane and one trace. Every lane, lane 0
+    included, is measured against lane 0, so a start state equal to the
+    oracle gets exactly the trace its own propagation would give.
     The lanes step together in one LaneBank, with the bits that
     `advance` and `two_loop` give lane by lane. Returns one trace per
     start state, in order.
     """
-    keys = [snapshot(st, cfg) for st in (oracle0, *starts)]
+    keys = [snapshot(st) for st in (oracle0, *starts)]
     by_key = dict(zip(keys, (oracle0, *starts)))
     bank = LaneBank(list(by_key.values()))
 
@@ -249,7 +245,7 @@ def _propagate_lanes(
 def _phase_fit(trace: np.ndarray, k_lo: int, k_hi: int) -> float:
     try:
         return metrics.fit_decay_rate(trace, k_lo, k_hi).rho_hat
-    except Exception:
+    except IntervalTooShort:
         return float("nan")
 
 
@@ -311,12 +307,12 @@ def prepare_run(
     prefix up to t_del, selects the deletion set at the trained state and
     replays the edited prefix from the initial state. Returns the stream,
     the context every intervention receives (theta0, the unedited prefix,
-    the trained state, the deletions and the step config with the
-    stream's ridge) and the oracle state at t_del.
+    the trained state, the deletions and the step config) and the oracle
+    state at t_del.
     """
     cfg.validate()
     scfg = cfg.stream
-    step_cfg = replace(cfg.optimizer, ridge=scfg.ridge)
+    step_cfg = cfg.optimizer
     strm = generate_stream(scfg, seed)
     theta0 = initial_state(scfg.dimension, step_cfg)
     prefix = strm.prefix(scfg.deletion_time)
@@ -434,8 +430,8 @@ def run_experiment2(cfg: ExperimentConfig, keep_traces: bool = True) -> RunResul
 # Grid running
 # ---------------------------------------------------------------------------
 
-# A grid axis names "seed", a StreamConfig or StepConfig field (the
-# stream's wins where both have one), or one of these short aliases.
+# A grid axis names "seed", a StreamConfig or StepConfig field, or one of
+# these short aliases.
 GRID_AXIS_ALIASES = {"kappa": "condition_number", "t_del": "deletion_time"}
 
 

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfig, InvalidPrivacyParams, InvalidRho, LengthMismatch
-from .metrics import make_probes, memory_operator_error, param_error, state_error
+from .metrics import memory_operator_error, param_error, state_error
 from .olbfgs import CurvaturePair, OptimizerState, StepConfig, initial_state, step
-from .stream import Event, LogisticSample
+from .stream import Event
 
 # Size of the contraction trials' perturbation, relative to max(1, ||w||).
 PERTURB_SCALE = 1e-4
@@ -132,7 +132,7 @@ def _perturbed_copy(
             js = p.s + delta * 1e-2 * rng.standard_normal(d)
             jy = p.y + delta * 1e-2 * rng.standard_normal(d)
             if float(js @ jy) > 0.0:
-                jittered.append(CurvaturePair(s=js, y=jy, sources=p.sources, created_at=p.created_at))
+                jittered.append(CurvaturePair(s=js, y=jy, sources=p.sources))
             else:
                 jittered.append(p)
         out.memory.clear()
@@ -146,7 +146,7 @@ def contraction_ratios(
     cfg: StepConfig,
     trials: int,
     seed: int,
-    probes: np.ndarray | None = None,
+    probes: np.ndarray,
     memory_weight: float = 1.0,
     perturb_memory: bool = True,
 ) -> list[float]:
@@ -154,16 +154,14 @@ def contraction_ratios(
 
     Each trial perturbs the state reached after a sampled number of events
     and steps both copies with the next event; the ratio is the combined
-    state error after over before.
+    state error after over before, its memory term measured on the
+    (d, count) probe matrix, which also fixes the dimension d.
     """
     if not history:
         raise InvalidConfig("contraction estimation needs at least one event")
     if trials < 1:
         raise InvalidConfig("trials must be >= 1")
-    first = history[0].payload
-    d = (first.features if isinstance(first, LogisticSample) else first.minimizer).shape[0]
-    if probes is None:
-        probes = make_probes(d, 32, seed)
+    d = probes.shape[0]
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x636F6E74)))
     positions = sorted(int(p) for p in rng.integers(0, len(history), size=trials))
 
@@ -202,7 +200,7 @@ def empirical_contraction(
     cfg: StepConfig,
     trials: int,
     seed: int,
-    probes: np.ndarray | None = None,
+    probes: np.ndarray,
     memory_weight: float = 1.0,
     perturb_memory: bool = True,
 ) -> float:

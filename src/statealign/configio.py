@@ -88,8 +88,6 @@ def _read(path: str | Path) -> configparser.ConfigParser:
 def load_config(path: str | Path, base: ExperimentConfig | None = None) -> ExperimentConfig:
     """Build an ExperimentConfig from a file, on top of `base` defaults."""
     parser = _read(path)
-    if parser.has_option("optimizer", "ridge"):
-        raise InvalidConfig("[optimizer] ridge is not read: the run uses [stream] ridge, set that")
     cfg = base if base is not None else ExperimentConfig()
     cfg = replace(
         cfg,

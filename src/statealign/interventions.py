@@ -130,12 +130,11 @@ def _newton_parameter_correction(ctx: InterventionContext) -> tuple[OptimizerSta
     if not deleted:
         return state, 0
     d = state.w.shape[0]
-    ridge = ctx.step_cfg.ridge
     grad_sum = np.zeros(d)
     hess_sum = np.zeros((d, d))
     for e in deleted:
-        grad_sum += loss_and_grad(e.payload, state.w, ridge)[1]
-        hess_sum += loss_hessian(e.payload, state.w, ridge)
+        grad_sum += loss_and_grad(e.payload, state.w)[1]
+        hess_sum += loss_hessian(e.payload, state.w)
     reg = _NEWTON_REG_SCALE * float(np.trace(hess_sum)) / d
     correction = np.linalg.solve(hess_sum + reg * np.eye(d), grad_sum)
     state.w = state.w - correction

@@ -12,21 +12,16 @@ step and the same bits as stepping each state alone.
 from __future__ import annotations
 
 import base64
-import hashlib
 import json
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidConfig
 from .stream import DeletionSet, Event, loss_and_grad, require_finite
 
-SNAPSHOT_VERSION = 2
-
-GAMMA_NEWEST_PAIR = "newest_pair"
-GAMMA_CONSTANT = "constant"
-_GAMMA_MODES = (GAMMA_NEWEST_PAIR, GAMMA_CONSTANT)
+SNAPSHOT_VERSION = 3
 
 
 @dataclass(frozen=True, slots=True)
@@ -34,31 +29,18 @@ class CurvaturePair:
     s: np.ndarray
     y: np.ndarray
     sources: frozenset[int]
-    created_at: int
 
 
 @dataclass
 class MemoryState:
-    """Ring buffer of curvature pairs, oldest first, capacity tau.
-
-    gamma0 and gamma_mode travel with the memory so that the two-loop
-    recursion is a function of the memory alone: gamma_mode selects the
-    initial scaling (s'y / y'y of the newest pair, or the constant gamma0),
-    and gamma0 is also the scaling used while the buffer is empty.
-    """
+    """Ring buffer of curvature pairs, oldest first, capacity tau."""
 
     tau: int
     pairs: deque[CurvaturePair] = field(default_factory=deque)
-    gamma0: float = 1.0
-    gamma_mode: str = GAMMA_NEWEST_PAIR
 
     def __post_init__(self) -> None:
         if self.tau < 1:
             raise InvalidConfig("memory capacity tau must be >= 1")
-        if self.gamma_mode not in _GAMMA_MODES:
-            raise InvalidConfig(f"unknown gamma_mode {self.gamma_mode!r}")
-        if self.gamma0 <= 0:
-            raise InvalidConfig("gamma0 must be > 0")
         if self.pairs.maxlen != self.tau:
             self.pairs = deque(self.pairs, maxlen=self.tau)
 
@@ -77,12 +59,7 @@ class MemoryState:
         self.pairs.clear()
 
     def clone(self) -> MemoryState:
-        return MemoryState(
-            tau=self.tau,
-            pairs=deque(self.pairs, maxlen=self.tau),
-            gamma0=self.gamma0,
-            gamma_mode=self.gamma_mode,
-        )
+        return MemoryState(tau=self.tau, pairs=deque(self.pairs, maxlen=self.tau))
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -93,17 +70,13 @@ class StepConfig:
     """Update-rule knobs.
 
     eta is the constant step size; curvature_eps is the pair-acceptance
-    threshold on s'y. ridge is forwarded to the per-event loss (only
-    logistic losses use it). tau, gamma0 and gamma_mode seed the memory of
-    freshly built optimizer states.
+    threshold on s'y; tau is the memory capacity of freshly built
+    optimizer states.
     """
 
     eta: float = 0.1
     curvature_eps: float = 1e-10
-    gamma_mode: str = GAMMA_NEWEST_PAIR
-    gamma0: float = 1.0
     tau: int = 10
-    ridge: float = 0.0
 
     def __post_init__(self) -> None:
         require_finite(self)
@@ -111,24 +84,17 @@ class StepConfig:
             raise InvalidConfig("eta must be > 0")
         if self.curvature_eps < 0:
             raise InvalidConfig("curvature_eps must be >= 0")
-        if self.gamma_mode not in _GAMMA_MODES:
-            raise InvalidConfig(f"unknown gamma_mode {self.gamma_mode!r}")
-        if self.gamma0 <= 0:
-            raise InvalidConfig("gamma0 must be > 0")
         if self.tau < 1:
             raise InvalidConfig("tau must be >= 1")
-        if self.ridge < 0:
-            raise InvalidConfig("ridge must be >= 0")
 
 
 @dataclass
 class OptimizerState:
     w: np.ndarray
     memory: MemoryState
-    step: int = 0
 
     def clone(self) -> OptimizerState:
-        return OptimizerState(w=self.w.copy(), memory=self.memory.clone(), step=self.step)
+        return OptimizerState(w=self.w.copy(), memory=self.memory.clone())
 
 
 @dataclass(frozen=True, slots=True)
@@ -144,8 +110,7 @@ def initial_state(dimension: int, cfg: StepConfig) -> OptimizerState:
     """Zero parameters, empty memory: the global starting point."""
     if dimension < 1:
         raise InvalidConfig("dimension must be >= 1")
-    memory = MemoryState(tau=cfg.tau, gamma0=cfg.gamma0, gamma_mode=cfg.gamma_mode)
-    return OptimizerState(w=np.zeros(dimension), memory=memory)
+    return OptimizerState(w=np.zeros(dimension), memory=MemoryState(tau=cfg.tau))
 
 
 class LaneBank:
@@ -153,26 +118,24 @@ class LaneBank:
 
     `w` is (lanes, d). S and Y are (lanes, tau, d) rings, right-aligned: a
     lane holding n pairs keeps them oldest first in its last n slots, and
-    every empty slot holds zero vectors with rho = 0. rho and gamma are
-    cached at push time with the expressions `two_loop` evaluates, so the
-    batched recursion gives every lane its scalar result bit for bit.
+    every empty slot holds zero vectors with rho = 0. rho and gamma (1 on
+    an empty lane) are cached at push time with the expressions `two_loop`
+    evaluates, so the batched recursion gives every lane its scalar result
+    bit for bit.
     `sources` keeps each lane's pair provenance, oldest first. len(bank) is
     the deepest lane's pair count.
     """
 
     def __init__(self, states: list[OptimizerState]) -> None:
-        first = states[0].memory
-        self.tau, self.gamma0, self.gamma_mode = first.tau, first.gamma0, first.gamma_mode
-        for st in states:
-            mem = st.memory
-            if (mem.tau, mem.gamma0, mem.gamma_mode) != (self.tau, self.gamma0, self.gamma_mode):
-                raise InvalidConfig("lanes must share tau, gamma0 and gamma_mode")
+        self.tau = states[0].memory.tau
+        if any(st.memory.tau != self.tau for st in states):
+            raise InvalidConfig("lanes must share tau")
         self.w = np.array([st.w for st in states], dtype=np.float64)
         m, d = self.w.shape
         self.S = np.zeros((m, self.tau, d))
         self.Y = np.zeros((m, self.tau, d))
         self.rho = np.zeros((m, self.tau))
-        self.gamma = np.full(m, self.gamma0)
+        self.gamma = np.ones(m)
         self.depth = np.zeros(m, dtype=np.int64)
         self.sources = [deque(maxlen=self.tau) for _ in states]
         for i, st in enumerate(states):
@@ -193,8 +156,7 @@ class LaneBank:
         self.rho[lanes, :-1] = self.rho[lanes, 1:]
         for k, i in enumerate(lanes):
             self.rho[i, -1] = 1.0 / sy[k]
-            if self.gamma_mode == GAMMA_NEWEST_PAIR:
-                self.gamma[i] = sy[k] / float(y[k] @ y[k])
+            self.gamma[i] = sy[k] / float(y[k] @ y[k])
             self.sources[i].append(sources[k])
         self.depth[lanes] = np.minimum(self.depth[lanes] + 1, self.tau)
 
@@ -211,11 +173,11 @@ class LaneBank:
         search directions.
         """
         w = self.w
-        losses, grads = zip(*(loss_and_grad(event.payload, wi, cfg.ridge) for wi in w))
+        losses, grads = zip(*(loss_and_grad(event.payload, wi) for wi in w))
         g = np.array(grads)
         direction = -_lanes_two_loop(self, g[:, :, None])[:, :, 0]
         w_next = w + cfg.eta * direction
-        g_next = np.array([loss_and_grad(event.payload, wi, cfg.ridge)[1] for wi in w_next])
+        g_next = np.array([loss_and_grad(event.payload, wi)[1] for wi in w_next])
         s = w_next - w
         y = g_next - g
         sy = [float(si @ yi) for si, yi in zip(s, y)]
@@ -261,9 +223,10 @@ def two_loop(memory: MemoryState | LaneBank, q: np.ndarray) -> np.ndarray:
     """Apply the inverse-Hessian approximation of `memory` to q.
 
     q may be a single vector (d,) or a column stack (d, m); the operator is
-    linear, so columns are transformed independently. Empty memory applies
-    gamma0 * I. A LaneBank applies every lane's operator to the same q and
-    stacks the results, (lanes, d) or (lanes, d, m).
+    linear, so columns are transformed independently. The initial scaling
+    is s'y / y'y of the newest pair; empty memory applies the identity. A
+    LaneBank applies every lane's operator to the same q and stacks the
+    results, (lanes, d) or (lanes, d, m).
     """
     single = q.ndim == 1
     if isinstance(memory, LaneBank):
@@ -276,8 +239,7 @@ def two_loop(memory: MemoryState | LaneBank, q: np.ndarray) -> np.ndarray:
     qq = (q[:, None] if single else q).astype(np.float64, copy=True)
     pairs = memory.pairs
     if not pairs:
-        out = memory.gamma0 * qq
-        return out[:, 0] if single else out
+        return qq[:, 0] if single else qq
     d = next(iter(pairs)).s.shape[0]
     if qq.shape[0] != d:
         raise DimensionMismatch(f"probe dimension {qq.shape[0]} != memory dimension {d}")
@@ -289,12 +251,8 @@ def two_loop(memory: MemoryState | LaneBank, q: np.ndarray) -> np.ndarray:
         qq -= p.y[:, None] * alpha[None, :]
         stack.append((p, rho, alpha))
 
-    if memory.gamma_mode == GAMMA_NEWEST_PAIR:
-        newest = pairs[-1]
-        gamma = float(newest.s @ newest.y) / float(newest.y @ newest.y)
-    else:
-        gamma = memory.gamma0
-    r = gamma * qq
+    newest = pairs[-1]
+    r = (float(newest.s @ newest.y) / float(newest.y @ newest.y)) * qq
     for p, rho, alpha in reversed(stack):
         beta = rho * (p.y @ r)
         r += p.s[:, None] * (alpha - beta)[None, :]
@@ -307,22 +265,19 @@ def advance(state: OptimizerState, event: Event, cfg: StepConfig) -> tuple[Optim
     Returns the successor state together with the pre-move loss and
     search direction. The input state is not modified.
     """
-    loss, g = loss_and_grad(event.payload, state.w, cfg.ridge)
+    loss, g = loss_and_grad(event.payload, state.w)
     direction = -two_loop(state.memory, g)
     w_next = state.w + cfg.eta * direction
 
-    _, g_next = loss_and_grad(event.payload, w_next, cfg.ridge)
+    _, g_next = loss_and_grad(event.payload, w_next)
     s = w_next - state.w
     y = g_next - g
 
     nxt = state.clone()
     nxt.w = w_next
-    nxt.step = state.step + 1
     accepted = float(s @ y) > cfg.curvature_eps
     if accepted:
-        nxt.memory.push(
-            CurvaturePair(s=s, y=y, sources=frozenset((event.index,)), created_at=nxt.step)
-        )
+        nxt.memory.push(CurvaturePair(s=s, y=y, sources=frozenset((event.index,))))
     return nxt, StepInfo(loss=loss, direction=direction, pair_accepted=accepted)
 
 
@@ -350,11 +305,6 @@ def direct_memory_mass(memory: MemoryState, deletions: DeletionSet) -> int:
     return sum(1 for p in memory.pairs if p.sources & banned)
 
 
-def config_digest(cfg: StepConfig) -> str:
-    text = json.dumps(asdict(cfg), sort_keys=True)
-    return hashlib.sha256(text.encode("ascii")).hexdigest()[:16]
-
-
 def _b64(a: np.ndarray) -> str:
     return base64.b64encode(np.asarray(a, dtype="<f8").tobytes()).decode("ascii")
 
@@ -363,24 +313,15 @@ def _unb64(blob: str) -> np.ndarray:
     return np.frombuffer(base64.b64decode(blob, validate=True), dtype="<f8").copy()
 
 
-def snapshot(state: OptimizerState, cfg: StepConfig) -> str:
+def snapshot(state: OptimizerState) -> str:
     """Versioned text snapshot preserving every float bit-exactly."""
     doc = {
         "version": SNAPSHOT_VERSION,
-        "config_digest": config_digest(cfg),
-        "step": state.step,
         "w": _b64(state.w),
         "memory": {
             "tau": state.memory.tau,
-            "gamma0": state.memory.gamma0,
-            "gamma_mode": state.memory.gamma_mode,
             "pairs": [
-                {
-                    "s": _b64(p.s),
-                    "y": _b64(p.y),
-                    "sources": sorted(p.sources),
-                    "created_at": p.created_at,
-                }
+                {"s": _b64(p.s), "y": _b64(p.y), "sources": sorted(p.sources)}
                 for p in state.memory.pairs
             ],
         },
@@ -397,23 +338,12 @@ def restore(text: str) -> OptimizerState:
             raise InvalidConfig(f"unsupported snapshot version {version!r}")
         w = _unb64(doc["w"])
         mem_doc = doc["memory"]
-        memory = MemoryState(
-            tau=int(mem_doc["tau"]),
-            gamma0=float(mem_doc["gamma0"]),
-            gamma_mode=mem_doc["gamma_mode"],
-        )
+        memory = MemoryState(tau=int(mem_doc["tau"]))
         for p in mem_doc["pairs"]:
             s, y = _unb64(p["s"]), _unb64(p["y"])
             if s.shape != w.shape or y.shape != w.shape:
                 raise InvalidConfig(f"malformed snapshot: a pair vector is not {w.size} long")
-            memory.push(
-                CurvaturePair(
-                    s=s,
-                    y=y,
-                    sources=frozenset(int(i) for i in p["sources"]),
-                    created_at=int(p["created_at"]),
-                )
-            )
-        return OptimizerState(w=w, memory=memory, step=int(doc["step"]))
+            memory.push(CurvaturePair(s=s, y=y, sources=frozenset(int(i) for i in p["sources"])))
+        return OptimizerState(w=w, memory=memory)
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise InvalidConfig(f"malformed snapshot: {exc!r}") from exc

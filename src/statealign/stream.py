@@ -57,10 +57,11 @@ class QuadraticSample:
 
 @dataclass(frozen=True, slots=True)
 class LogisticSample:
-    """One logistic loss event: feature vector and a +1/-1 label."""
+    """One logistic loss event: feature vector, a +1/-1 label and the ridge level."""
 
     features: np.ndarray
     label: int
+    ridge: float
 
 
 SamplePayload = QuadraticSample | LogisticSample
@@ -146,6 +147,10 @@ class StreamConfig:
             raise InvalidConfig("mu must be > 0")
         if self.condition_number < 1:
             raise InvalidConfig("condition_number must be >= 1")
+        if not math.isfinite(self.condition_number * self.mu):
+            raise InvalidConfig(
+                f"condition_number * mu must be finite, got {self.condition_number!r} * {self.mu!r}"
+            )
         if self.drift_period <= 0 or self.curvature_period <= 0 or self.label_period <= 0:
             raise InvalidConfig("drift periods must be > 0")
         if self.drift_amplitude < 0 or self.drift_noise < 0 or self.label_drift < 0:
@@ -282,7 +287,7 @@ def gen_logistic_stream(config: StreamConfig, seed: int) -> EventStream:
         beta_t = beta0 + config.label_drift * math.sin(2.0 * math.pi * t / config.label_period) * v
         p_plus = expit(float(x_t @ beta_t))
         label = 1 if rng.uniform() < p_plus else -1
-        payload = LogisticSample(features=_freeze(x_t), label=label)
+        payload = LogisticSample(features=_freeze(x_t), label=label, ridge=config.ridge)
         events.append(Event(index=t, time=t, payload=payload))
 
     return EventStream(events=events, config=config, seed=seed)
@@ -294,19 +299,15 @@ def generate_stream(config: StreamConfig, seed: int) -> EventStream:
     return gen_logistic_stream(config, seed)
 
 
-def loss_and_grad(payload: SamplePayload, w: np.ndarray, ridge: float = 0.0) -> tuple[float, np.ndarray]:
-    """Per-event loss and gradient at w.
-
-    The ridge term applies to logistic payloads only; quadratic losses
-    ignore it.
-    """
+def loss_and_grad(payload: SamplePayload, w: np.ndarray) -> tuple[float, np.ndarray]:
+    """Per-event loss and gradient at w; a logistic loss adds its payload's ridge term."""
     if isinstance(payload, QuadraticSample):
         if w.shape != payload.minimizer.shape:
             raise DimensionMismatch("parameter/minimizer shapes differ")
         r = w - payload.minimizer
         hr = payload.hessian @ r
         return 0.5 * float(r @ hr), hr
-    x, y = payload.features, payload.label
+    x, y, ridge = payload.features, payload.label, payload.ridge
     if w.shape != x.shape:
         raise DimensionMismatch("parameter/feature shapes differ")
     z = float(x @ w)
@@ -315,14 +316,14 @@ def loss_and_grad(payload: SamplePayload, w: np.ndarray, ridge: float = 0.0) -> 
     return loss, grad
 
 
-def loss_hessian(payload: SamplePayload, w: np.ndarray, ridge: float = 0.0) -> np.ndarray:
+def loss_hessian(payload: SamplePayload, w: np.ndarray) -> np.ndarray:
     """Per-event loss Hessian at w (used by the Newton-style intervention)."""
     if isinstance(payload, QuadraticSample):
         return payload.hessian
     x = payload.features
     z = float(x @ w)
     p = expit(z)
-    return p * (1.0 - p) * np.outer(x, x) + ridge * np.eye(x.shape[0])
+    return p * (1.0 - p) * np.outer(x, x) + payload.ridge * np.eye(x.shape[0])
 
 
 def select_deletion_set(
@@ -358,10 +359,9 @@ def select_deletion_set(
     elif mode is DeletionMode.HIGH_GRADIENT:
         if grad_state is None:
             raise MissingGradState("high_gradient mode needs the parameter vector at t_del")
-        ridge = stream.config.ridge
         ranked = sorted(
             candidates,
-            key=lambda e: (-float(np.linalg.norm(loss_and_grad(e.payload, grad_state, ridge)[1])), e.time),
+            key=lambda e: (-float(np.linalg.norm(loss_and_grad(e.payload, grad_state)[1])), e.time),
         )
         chosen = ranked[:size]
     else:  # pragma: no cover - exhaustive enum
@@ -382,7 +382,8 @@ def edit_history(prefix: list[Event], deletions: DeletionSet) -> list[Event]:
 #   time,insert,index,payload-blob(base64)
 # preceded by two '#' header lines carrying the seed and the config needed
 # to decode blobs. Blobs are little-endian float64: quadratic events pack H
-# (row-major) then a; logistic events pack x then the label.
+# (row-major) then a; logistic events pack x then the label, and take their
+# ridge from the header.
 # ---------------------------------------------------------------------------
 
 _HEADER = f"# statealign-stream v{STREAM_FILE_VERSION} seed="
@@ -442,8 +443,9 @@ def _payload_blob(payload: SamplePayload) -> str:
     return base64.b64encode(flat.astype("<f8").tobytes()).decode("ascii")
 
 
-def _payload_from_blob(blob: str, regime: Regime, d: int) -> SamplePayload:
-    """Decode one blob; raises ValueError when it is not valid for the regime."""
+def _payload_from_blob(blob: str, config: StreamConfig) -> SamplePayload:
+    """Decode one blob; raises ValueError when it is not valid for the config's regime."""
+    regime, d = config.regime, config.dimension
     flat = np.frombuffer(base64.b64decode(blob, validate=True), dtype="<f8")
     size = d * d + d if regime is Regime.QUADRATIC else d + 1
     if flat.size != size:
@@ -453,7 +455,8 @@ def _payload_from_blob(blob: str, regime: Regime, d: int) -> SamplePayload:
         return QuadraticSample(hessian=h, minimizer=_freeze(flat[d * d :].copy()))
     if flat[d] not in (1.0, -1.0):
         raise ValueError("logistic label must be +1 or -1")
-    return LogisticSample(features=_freeze(flat[:d].copy()), label=int(flat[d]))
+    features = _freeze(flat[:d].copy())
+    return LogisticSample(features=features, label=int(flat[d]), ridge=config.ridge)
 
 
 def write_stream(stream: EventStream, path: str) -> None:
@@ -489,7 +492,7 @@ def read_stream(path: str) -> EventStream:
             time_s, op, index_s, blob = line.split(",", 3)
             if op != "insert":
                 raise ValueError(f"op {op!r} is not 'insert'; deletions are DeletionSets")
-            payload = _payload_from_blob(blob, config.regime, config.dimension)
+            payload = _payload_from_blob(blob, config)
             events.append(Event(index=int(index_s), time=int(time_s), payload=payload))
     except (ValueError, InvalidConfig) as exc:
         raise InvalidConfig(f"{path}:{lineno}: {exc}") from exc

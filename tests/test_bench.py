@@ -133,6 +133,19 @@ def test_contraction_feeds_alpha_bound_and_sigma():
         assert any("rho_emp" in v for v in res.assumption_violations)
 
 
+def test_phase_fit_reads_only_a_too_short_interval_as_nan(monkeypatch):
+    trace = np.array([1.0, 0.5, 0.25, 0.125])
+    assert bench._phase_fit(trace, 0, 3) == pytest.approx(0.5, rel=1e-12)
+    assert math.isnan(bench._phase_fit(trace, 0, 1))
+
+    def broken_fit(*args, **kwargs):
+        raise ZeroDivisionError("a fault inside the fit")
+
+    monkeypatch.setattr(metrics, "fit_decay_rate", broken_fit)
+    with pytest.raises(ZeroDivisionError, match="a fault inside the fit"):
+        bench._phase_fit(trace, 0, 3)
+
+
 # ---------------------------------------------------------------------------
 # Propagation lanes
 # ---------------------------------------------------------------------------
@@ -141,7 +154,7 @@ def test_contraction_feeds_alpha_bound_and_sigma():
 def test_oracle_intervention_reproduces_the_oracle_state_bit_for_bit():
     _, ctx, oracle0 = bench.prepare_run(small_config(), 7)
     oracle = apply_intervention(parse_intervention("oracle", ctx.step_cfg.tau), ctx)
-    assert snapshot(oracle.state, ctx.step_cfg) == snapshot(oracle0, ctx.step_cfg)
+    assert snapshot(oracle.state) == snapshot(oracle0)
 
 
 def test_identical_start_states_share_one_propagation(monkeypatch):
@@ -162,7 +175,7 @@ def test_identical_start_states_share_one_propagation(monkeypatch):
 
 def reference_propagation(oracle0, starts, future, cfg, probes, memory_weight, deletions):
     """_propagate_lanes before the lane bank: scalar two_loop and advance, lane by lane."""
-    keys = [snapshot(st, cfg) for st in (oracle0, *starts)]
+    keys = [snapshot(st) for st in (oracle0, *starts)]
     by_key = dict(zip(keys, (oracle0, *starts)))
     lanes = list(by_key.values())
 
@@ -213,7 +226,7 @@ def reference_propagation(oracle0, starts, future, cfg, probes, memory_weight, d
         ({}, {}, False),
         (
             {"regime": Regime.LOGISTIC, "ridge": 0.01},
-            {"gamma_mode": "constant", "gamma0": 0.5},
+            {"eta": 0.05, "tau": 3},
             False,
         ),
         ({"condition_number": 30.0}, {"tau": 12, "curvature_eps": 1e-3}, False),

@@ -24,6 +24,7 @@ from statealign.errors import (
     InvalidRho,
     LengthMismatch,
 )
+from statealign.metrics import make_probes
 from statealign.olbfgs import StepConfig
 from statealign.stream import StreamConfig, generate_stream
 
@@ -162,6 +163,10 @@ def test_bound_monotone_in_every_input(rho, delta0, bump, k):
 
 # -- empirical contraction ----------------------------------------------------
 
+# The trials below weigh memory by 0, so only the probes' dimension matters.
+PROBES_1D = make_probes(1, 32, seed=0)
+
+
 def _static_history(h, length, d=1):
     cfg = StreamConfig(
         dimension=d, length=length, deletion_time=length // 2, horizon=length // 4,
@@ -177,7 +182,8 @@ def test_contraction_ratio_is_exact_on_static_scalar_quadratic():
     for eta, want in ((0.1, 0.9), (0.5, 0.5), (2.5, 1.5)):
         cfg = StepConfig(eta=eta, tau=4)
         ratios = contraction_ratios(
-            history, cfg, trials=6, seed=0, memory_weight=0.0, perturb_memory=False,
+            history, cfg, trials=6, seed=0, probes=PROBES_1D, memory_weight=0.0,
+            perturb_memory=False,
         )
         assert len(ratios) == 6
         np.testing.assert_allclose(ratios, want, rtol=1e-9)
@@ -186,23 +192,23 @@ def test_contraction_ratio_is_exact_on_static_scalar_quadratic():
 def test_empirical_contraction_is_max_of_ratios():
     history = _static_history(h=2.0, length=24)
     cfg = StepConfig(eta=0.3, tau=4)
-    ratios = contraction_ratios(history, cfg, trials=5, seed=3, memory_weight=0.0,
-                                perturb_memory=False)
-    top = empirical_contraction(history, cfg, trials=5, seed=3, memory_weight=0.0,
-                                perturb_memory=False)
+    ratios = contraction_ratios(history, cfg, trials=5, seed=3, probes=PROBES_1D,
+                                memory_weight=0.0, perturb_memory=False)
+    top = empirical_contraction(history, cfg, trials=5, seed=3, probes=PROBES_1D,
+                                memory_weight=0.0, perturb_memory=False)
     assert top == max(ratios)
 
 
 def test_contraction_rejects_insert_free_history_and_bad_trials():
     history = _static_history(h=2.0, length=24)
     with pytest.raises(InvalidConfig):
-        contraction_ratios([], StepConfig(eta=0.1, tau=4), trials=3, seed=0)
+        contraction_ratios([], StepConfig(eta=0.1, tau=4), 3, 0, PROBES_1D)
     with pytest.raises(InvalidConfig):
-        contraction_ratios(history, StepConfig(eta=0.1, tau=4), trials=0, seed=0)
+        contraction_ratios(history, StepConfig(eta=0.1, tau=4), 0, 0, PROBES_1D)
 
 
 def test_contraction_works_on_single_event_history():
     history = _static_history(h=2.0, length=24)[:1]
     ratios = contraction_ratios(history, StepConfig(eta=0.1, tau=4), trials=3, seed=0,
-                                memory_weight=0.0, perturb_memory=False)
+                                probes=PROBES_1D, memory_weight=0.0, perturb_memory=False)
     assert ratios == pytest.approx([0.8, 0.8, 0.8], rel=1e-9)

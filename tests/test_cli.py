@@ -84,7 +84,7 @@ def test_bad_seed_list_exits_1(capsys, tmp_path):
         ("stream", "condition_number"),
         ("stream", "mu"),
         ("stream", "drift_period"),
-        ("optimizer", "gamma0"),
+        ("optimizer", "curvature_eps"),
     ],
 )
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -97,6 +97,16 @@ def test_non_finite_config_value_exits_1(capsys, tmp_path, section, key, value):
     captured = capsys.readouterr()
     assert f"config error: bad value '{value}' for {key}" in captured.err
     assert "exact_recovery" not in captured.out
+
+
+def test_overflowing_condition_number_times_mu_exits_1(capsys, tmp_path):
+    path = tmp_path / "exp.ini"
+    path.write_text(SMALL.replace("condition_number = 4.0", "condition_number = 1e308\nmu = 10"))
+    assert main(["exp2", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "condition_number * mu" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["exp2", "grid"])

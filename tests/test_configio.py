@@ -1,12 +1,16 @@
 """Flat key-value config files: loading, coercion, and grid axes."""
 
+import re
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import pytest
 
+from statealign.bench import ExperimentConfig
 from statealign.configio import load_config, load_grid_axes
 from statealign.errors import InvalidConfig
-from statealign.stream import DeletionMode, Regime
+from statealign.olbfgs import StepConfig
+from statealign.stream import DeletionMode, Regime, StreamConfig
 
 SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.ini"))
 
@@ -24,7 +28,7 @@ condition_number = 4.0
 [optimizer]
 eta = 0.5
 tau = 7
-gamma_mode = constant
+curvature_eps = 1e-6
 
 [experiment]
 interventions = oracle, noop, window:12
@@ -46,7 +50,7 @@ def test_load_config_covers_all_sections(tmp_path):
     assert cfg.stream.condition_number == 4.0
     assert cfg.optimizer.eta == 0.5
     assert cfg.optimizer.tau == 7
-    assert cfg.optimizer.gamma_mode == "constant"
+    assert cfg.optimizer.curvature_eps == 1e-6
     assert cfg.interventions == ("oracle", "noop", "window:12")
     assert cfg.memory_weight == 0.25
     assert cfg.seeds == (3, 4)
@@ -105,7 +109,7 @@ def test_grid_axes_parse_typed_value_lists(tmp_path):
     path = tmp_path / "grid.ini"
     path.write_text(
         "[grid]\nkappa = 2.0, 8.0\ntau = 3, 5\ndeletion_mode = recent, random\n"
-        "t_del = 30\nseed = 1, 2\nlength = 90\ngamma_mode = constant\n"
+        "t_del = 30\nseed = 1, 2\nlength = 90\ncurvature_eps = 1e-8, 1e-4\n"
     )
     axes = load_grid_axes(path)
     assert axes["kappa"] == [2.0, 8.0]
@@ -114,7 +118,7 @@ def test_grid_axes_parse_typed_value_lists(tmp_path):
     assert axes["t_del"] == [30]
     assert axes["seed"] == [1, 2]
     assert axes["length"] == [90]
-    assert axes["gamma_mode"] == ["constant"]
+    assert axes["curvature_eps"] == [1e-8, 1e-4]
 
 
 def test_grid_axis_without_values_is_rejected(tmp_path):
@@ -152,5 +156,40 @@ def test_shipped_configs_load(path):
 def test_optimizer_ridge_is_rejected_in_favour_of_the_stream_ridge(tmp_path):
     path = tmp_path / "exp.ini"
     path.write_text("[optimizer]\nridge = 0.5\n")
-    with pytest.raises(InvalidConfig, match=r"\[stream\] ridge"):
+    with pytest.raises(InvalidConfig, match=r"unknown key 'ridge' in \[optimizer\]"):
         load_config(path)
+
+
+@pytest.mark.parametrize("key, value", [("gamma_mode", "constant"), ("gamma0", "0.5")])
+def test_removed_optimizer_keys_are_unknown(tmp_path, key, value):
+    path = tmp_path / "exp.ini"
+    path.write_text(f"[optimizer]\n{key} = {value}\n")
+    with pytest.raises(InvalidConfig, match=rf"unknown key '{key}' in \[optimizer\]"):
+        load_config(path)
+    path.write_text(f"[grid]\n{key} = {value}\n")
+    with pytest.raises(InvalidConfig, match=rf"unknown key '{key}' in \[grid\]"):
+        load_grid_axes(path)
+
+
+def _readme_keys(section: str) -> list[str]:
+    """The backticked keys of README's `- `[section]`: ...` bullet.
+
+    Parenthesised notes are dropped, and the list ends at the first ';'
+    or '.' that follows.
+    """
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    bullet = re.search(rf"^- `\[{section}\]`:(.*?)(?=^\S|^$)", text, re.M | re.S)
+    assert bullet, f"README has no [{section}] key list"
+    body = bullet.group(1)
+    while re.search(r"\([^()]*\)", body):
+        body = re.sub(r"\([^()]*\)", "", body)
+    return re.findall(r"`(\w+)`", re.split(r"[;.]", body, maxsplit=1)[0])
+
+
+@pytest.mark.parametrize(
+    "section, cls",
+    [("stream", StreamConfig), ("optimizer", StepConfig), ("experiment", ExperimentConfig)],
+)
+def test_readme_key_lists_are_the_config_fields(section, cls):
+    keys = [f.name for f in fields(cls) if not is_dataclass(f.default_factory)]
+    assert sorted(_readme_keys(section)) == sorted(keys)

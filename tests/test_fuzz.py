@@ -61,7 +61,7 @@ def test_edited_stream_file_reads_or_raises_a_statealign_error(edit_dir, which, 
 
 
 CFG = StepConfig(eta=0.1, tau=3)
-SNAPSHOT = snapshot(replay(initial_state(3, CFG), read_stream(str(STREAMS[0])).prefix(4), CFG), CFG)
+SNAPSHOT = snapshot(replay(initial_state(3, CFG), read_stream(str(STREAMS[0])).prefix(4), CFG))
 
 
 @settings(max_examples=400, deadline=None)

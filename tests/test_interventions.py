@@ -137,8 +137,8 @@ def test_param_only_applies_damped_newton_removal():
     grad_sum = np.zeros(6)
     hess_sum = np.zeros((6, 6))
     for e in deleted:
-        grad_sum += loss_and_grad(e.payload, w, CFG.ridge)[1]
-        hess_sum += loss_hessian(e.payload, w, CFG.ridge)
+        grad_sum += loss_and_grad(e.payload, w)[1]
+        hess_sum += loss_hessian(e.payload, w)
     reg = 1e-6 * float(np.trace(hess_sum)) / 6
     expected = w - np.linalg.solve(hess_sum + reg * np.eye(6), grad_sum)
 

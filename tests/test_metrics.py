@@ -44,10 +44,10 @@ def test_state_error_combines_with_weight():
 
 def test_memory_operator_error_agrees_with_manual_two_loop():
     rng = np.random.default_rng(0)
-    mem_a = MemoryState(tau=4, gamma0=1.0, gamma_mode="newest_pair")
-    mem_b = MemoryState(tau=4, gamma0=1.0, gamma_mode="newest_pair")
+    mem_a = MemoryState(tau=4)
+    mem_b = MemoryState(tau=4)
     s = rng.normal(size=3)
-    mem_a.push(CurvaturePair(s=s, y=2.0 * s, sources=frozenset({1}), created_at=1))
+    mem_a.push(CurvaturePair(s=s, y=2.0 * s, sources=frozenset({1})))
     probes = make_probes(3, 8, seed=5)
     got = memory_operator_error(mem_a, mem_b, probes)
     diffs = two_loop(mem_a, probes) - two_loop(mem_b, probes)
@@ -70,13 +70,13 @@ def test_make_probes_unit_columns_and_determinism():
 def test_probe_half_split_estimates_agree():
     # RMS over 16 random probes should be close to RMS over the other 16
     rng = np.random.default_rng(9)
-    mem_a = MemoryState(tau=6, gamma0=1.0, gamma_mode="newest_pair")
-    mem_b = MemoryState(tau=6, gamma0=1.0, gamma_mode="newest_pair")
+    mem_a = MemoryState(tau=6)
+    mem_b = MemoryState(tau=6)
     for t in range(1, 5):
         s = rng.normal(size=12)
         y = rng.normal(size=12)
         if s @ y > 1e-3:
-            mem_a.push(CurvaturePair(s=s, y=y, sources=frozenset({t}), created_at=t))
+            mem_a.push(CurvaturePair(s=s, y=y, sources=frozenset({t})))
     probes = make_probes(12, 32, seed=0)
     diffs = two_loop(mem_a, probes) - two_loop(mem_b, probes)
     norms = np.sum(diffs * diffs, axis=0)

@@ -16,7 +16,6 @@ from statealign.olbfgs import (
     OptimizerState,
     StepConfig,
     advance,
-    config_digest,
     direct_memory_mass,
     initial_state,
     replay,
@@ -39,15 +38,13 @@ from statealign.stream import (
 def dense_inverse_hessian(memory: MemoryState) -> np.ndarray:
     """Brute-force inverse-Hessian estimate built by the textbook recursion.
 
-    Starts from gamma * I and applies every stored pair oldest to newest:
+    Starts from gamma * I, gamma = s'y / y'y of the newest pair, and applies
+    every stored pair oldest to newest:
     M <- (I - rho s y^T) M (I - rho y s^T) + rho s s^T.
     """
     d = memory.pairs[0].s.size
-    if memory.gamma_mode == "newest_pair" and memory.pairs:
-        newest = memory.pairs[-1]
-        gamma = float(newest.s @ newest.y) / float(newest.y @ newest.y)
-    else:
-        gamma = memory.gamma0
+    newest = memory.pairs[-1]
+    gamma = float(newest.s @ newest.y) / float(newest.y @ newest.y)
     m = gamma * np.eye(d)
     for p in memory.pairs:
         rho = 1.0 / float(p.s @ p.y)
@@ -56,8 +53,8 @@ def dense_inverse_hessian(memory: MemoryState) -> np.ndarray:
     return m
 
 
-def random_memory(rng, d, n_pairs, tau=8, gamma_mode="newest_pair"):
-    mem = MemoryState(tau=tau, gamma0=1.0, gamma_mode=gamma_mode)
+def random_memory(rng, d, n_pairs, tau=8):
+    mem = MemoryState(tau=tau)
     made = 0
     t = 0
     while made < n_pairs:
@@ -66,7 +63,7 @@ def random_memory(rng, d, n_pairs, tau=8, gamma_mode="newest_pair"):
         y = rng.normal(size=d)
         if float(s @ y) <= 1e-3:
             continue
-        mem.push(CurvaturePair(s=s, y=y, sources=frozenset({t}), created_at=t))
+        mem.push(CurvaturePair(s=s, y=y, sources=frozenset({t})))
         made += 1
     return mem
 
@@ -90,19 +87,18 @@ def test_two_loop_single_pair_is_exact_newton_in_1d():
     # pair (s, h*s) encodes curvature h; the recursion must return q / h
     h = 3.7
     s = np.array([0.9])
-    mem = MemoryState(tau=4, gamma0=1.0, gamma_mode="newest_pair")
-    mem.push(CurvaturePair(s=s, y=h * s, sources=frozenset({1}), created_at=1))
+    mem = MemoryState(tau=4)
+    mem.push(CurvaturePair(s=s, y=h * s, sources=frozenset({1})))
     q = np.array([2.0])
     np.testing.assert_allclose(two_loop(mem, q), q / h, rtol=1e-14)
 
 
-def test_two_loop_empty_memory_scales_by_gamma0():
-    mem = MemoryState(tau=4, gamma0=0.25, gamma_mode="constant")
-    q = np.array([1.0, -2.0])
-    np.testing.assert_array_equal(two_loop(mem, q), 0.25 * q)
-
-    unit = MemoryState(tau=4, gamma0=1.0, gamma_mode="newest_pair")
-    np.testing.assert_array_equal(two_loop(unit, q), q)
+def test_two_loop_empty_memory_is_the_identity():
+    mem = MemoryState(tau=4)
+    q = np.array([1.0, -2.0, -0.0, np.inf])
+    out = two_loop(mem, q)
+    assert out.tobytes() == q.tobytes()
+    assert out is not q
 
 
 def test_two_loop_batched_equals_columnwise():
@@ -149,14 +145,14 @@ def random_vector(rng, d, special_rate):
     return v
 
 
-def lane_memory(rng, d, tau, gamma_mode, n_candidates, eps):
+def lane_memory(rng, d, tau, n_candidates, eps):
     """Pushes n_candidates random pairs, rejecting those with s'y <= eps as advance does."""
-    mem = MemoryState(tau=tau, gamma0=0.5, gamma_mode=gamma_mode)
+    mem = MemoryState(tau=tau)
     for t in range(n_candidates):
         s = rng.normal(size=d)
         y = rng.normal(size=d) + rng.uniform(-1.0, 2.0) * s
         if float(s @ y) > eps:
-            mem.push(CurvaturePair(s=s, y=y, sources=frozenset({t}), created_at=t))
+            mem.push(CurvaturePair(s=s, y=y, sources=frozenset({t})))
     return mem
 
 
@@ -173,18 +169,15 @@ def same_bits(a, b):
     d=st.integers(1, 6),
     tau=st.integers(1, 40),
     columns=st.integers(1, 4),
-    gamma_mode=st.sampled_from(["newest_pair", "constant"]),
     special_rate=st.sampled_from([0.0, 0.3]),
 )
 @settings(max_examples=150, deadline=None)
-def test_lane_bank_two_loop_matches_scalar_bit_for_bit(
-    seed, lanes, d, tau, columns, gamma_mode, special_rate
-):
+def test_lane_bank_two_loop_matches_scalar_bit_for_bit(seed, lanes, d, tau, columns, special_rate):
     rng = np.random.default_rng(seed)
     # Lane depths vary from empty to past capacity (ring eviction), and some
     # candidate pairs fail the curvature test.
     memories = [
-        lane_memory(rng, d, tau, gamma_mode, int(rng.integers(0, 2 * tau + 2)), 0.1)
+        lane_memory(rng, d, tau, int(rng.integers(0, 2 * tau + 2)), 0.1)
         for _ in range(lanes)
     ]
     if lanes > 1:
@@ -213,20 +206,15 @@ def test_lane_bank_two_loop_matches_scalar_bit_for_bit(
     seed=st.integers(0, 2**16),
     tau=st.integers(1, 40),
     logistic=st.booleans(),
-    gamma_mode=st.sampled_from(["newest_pair", "constant"]),
     curvature_eps=st.sampled_from([1e-10, 1e-3, 1e-2]),
 )
 @settings(max_examples=30, deadline=None)
-def test_lane_bank_move_matches_advance_bit_for_bit(
-    seed, tau, logistic, gamma_mode, curvature_eps
-):
+def test_lane_bank_move_matches_advance_bit_for_bit(seed, tau, logistic, curvature_eps):
     regime = Regime.LOGISTIC if logistic else Regime.QUADRATIC
     scfg = StreamConfig(
         dimension=4, length=120, deletion_time=60, horizon=50, regime=regime, ridge=0.01
     )
-    cfg = StepConfig(
-        eta=0.2, tau=tau, gamma_mode=gamma_mode, curvature_eps=curvature_eps, ridge=scfg.ridge
-    )
+    cfg = StepConfig(eta=0.2, tau=tau, curvature_eps=curvature_eps)
     events = generate_stream(scfg, seed).events
     trained = replay(initial_state(4, cfg), events[:60], cfg)
     reset = trained.clone()
@@ -266,14 +254,15 @@ def test_memory_evicts_oldest_beyond_tau():
     rng = np.random.default_rng(0)
     mem = random_memory(rng, 3, 5, tau=3)
     assert len(mem.pairs) == 3
-    assert [p.created_at for p in mem.pairs] == sorted(p.created_at for p in mem.pairs)
+    # random_memory tags pair k with source {t}, t increasing
+    assert [min(p.sources) for p in mem.pairs] == sorted(min(p.sources) for p in mem.pairs)
 
 
 def test_direct_memory_mass_counts_source_overlap():
-    mem = MemoryState(tau=4, gamma0=1.0, gamma_mode="newest_pair")
+    mem = MemoryState(tau=4)
     for t in range(1, 5):
         s = np.array([1.0, float(t)])
-        mem.push(CurvaturePair(s=s, y=s, sources=frozenset({t}), created_at=t))
+        mem.push(CurvaturePair(s=s, y=s, sources=frozenset({t})))
     ds = DeletionSet(indices=frozenset({2, 4, 9}))
     assert direct_memory_mass(mem, ds) == 2
     empty = DeletionSet(indices=frozenset())
@@ -286,7 +275,7 @@ def test_step_config_validation():
     with pytest.raises(InvalidConfig):
         StepConfig(tau=0)
     with pytest.raises(InvalidConfig):
-        StepConfig(gamma_mode="other")
+        StepConfig(curvature_eps=-1.0)
 
 
 # -- advancing ----------------------------------------------------------------
@@ -300,10 +289,8 @@ def test_advance_accepts_pair_and_tracks_provenance():
     state = initial_state(6, CFG)
     state, info = advance(state, strm.events[0], CFG)
     assert info.pair_accepted
-    assert state.step == 1
-    newest = state.memory.pairs[-1]
-    assert newest.sources == frozenset({strm.events[0].index})
-    assert newest.created_at == 1
+    assert len(state.memory) == 1
+    assert state.memory.pairs[-1].sources == frozenset({strm.events[0].index})
 
 
 def test_advance_rejects_flat_curvature():
@@ -324,8 +311,7 @@ def test_step_returns_advanced_state_only():
     state = initial_state(6, CFG)
     via_advance, _ = advance(state, strm.events[0], CFG)
     via_step = step(state, strm.events[0], CFG)
-    np.testing.assert_array_equal(via_advance.w, via_step.w)
-    assert via_advance.step == via_step.step
+    assert snapshot(via_advance) == snapshot(via_step)
 
 
 def test_replay_is_deterministic_and_order_sensitive():
@@ -333,8 +319,7 @@ def test_replay_is_deterministic_and_order_sensitive():
     events = strm.prefix(20)
     a = replay(initial_state(6, CFG), events, CFG)
     b = replay(initial_state(6, CFG), events, CFG)
-    np.testing.assert_array_equal(a.w, b.w)
-    assert a.step == b.step == 20
+    assert snapshot(a) == snapshot(b)
 
     reordered = [events[1], events[0], *events[2:]]
     c = replay(initial_state(6, CFG), reordered, CFG)
@@ -360,43 +345,49 @@ def test_snapshot_roundtrip_is_bit_exact():
     strm = generate_stream(STREAM_CFG, seed=9)
     cfg = StepConfig(eta=0.1, tau=4)
     state = replay(initial_state(6, cfg), strm.prefix(15), cfg)
-    text = snapshot(state, cfg)
+    text = snapshot(state)
     back = restore(text)
-    assert back.step == state.step
     np.testing.assert_array_equal(back.w, state.w)
+    assert back.memory.tau == state.memory.tau
     assert len(back.memory.pairs) == len(state.memory.pairs)
     for p, q in zip(state.memory.pairs, back.memory.pairs):
         np.testing.assert_array_equal(p.s, q.s)
         np.testing.assert_array_equal(p.y, q.y)
         assert p.sources == q.sources
-        assert p.created_at == q.created_at
+    assert snapshot(back) == text
 
 
 def test_restore_rejects_a_version_1_snapshot():
     strm = generate_stream(STREAM_CFG, seed=9)
     cfg = StepConfig(eta=0.1, tau=4)
     state = replay(initial_state(6, cfg), strm.prefix(15), cfg)
-    doc = json.loads(snapshot(state, cfg))
-    assert doc["version"] == 2
-    assert "prev_grad" not in doc
-    doc["version"] = 1
-    doc["prev_grad"] = None
-    with pytest.raises(InvalidConfig, match="version 1"):
-        restore(json.dumps(doc))
+    doc = json.loads(snapshot(state))
+    assert doc["version"] == 3
+    assert sorted(doc) == ["memory", "version", "w"]
+    assert sorted(doc["memory"]) == ["pairs", "tau"]
+    assert all(sorted(p) == ["s", "sources", "y"] for p in doc["memory"]["pairs"])
+    # Version 2 also stored a config digest, the step count, the gamma
+    # settings and each pair's creation step; version 1 the last gradient.
+    v2 = {**doc, "version": 2, "config_digest": "0" * 16, "step": 15}
+    v2["memory"] = {**doc["memory"], "gamma0": 1.0, "gamma_mode": "newest_pair"}
+    v1 = {**v2, "version": 1, "prev_grad": None}
+    for old in (v1, v2):
+        with pytest.raises(InvalidConfig, match=f"version {old['version']}"):
+            restore(json.dumps(old))
 
 
 def test_restore_rejects_a_pair_of_the_wrong_length():
     cfg = StepConfig(eta=0.1, tau=4)
     scfg = StreamConfig(dimension=3, length=20, deletion_time=10, horizon=5)
     state = replay(initial_state(3, cfg), generate_stream(scfg, seed=9).prefix(10), cfg)
-    doc = json.loads(snapshot(state, cfg))
+    doc = json.loads(snapshot(state))
     two_floats = np.array([1.0, 2.0], dtype="<f8").tobytes()
     doc["memory"]["pairs"][0]["y"] = base64.b64encode(two_floats).decode("ascii")
     with pytest.raises(InvalidConfig, match="malformed snapshot"):
         restore(json.dumps(doc))
 
 
-@pytest.mark.parametrize("key", ["eta", "curvature_eps", "gamma0"])
+@pytest.mark.parametrize("key", ["eta", "curvature_eps"])
 def test_step_config_rejects_non_finite_values(key):
     for value in (float("nan"), float("inf")):
         with pytest.raises(InvalidConfig, match=key):
@@ -411,13 +402,3 @@ def test_clone_isolates_mutation():
     assert state.w[0] != twin.w[0]
     twin.memory.pairs.clear()
     assert len(state.memory.pairs) > 0
-
-
-def test_config_digest_is_stable_and_sensitive():
-    a = config_digest(StepConfig(eta=0.1, tau=5))
-    b = config_digest(StepConfig(eta=0.1, tau=5))
-    c = config_digest(StepConfig(eta=0.2, tau=5))
-    assert a == b
-    assert a != c
-    assert len(a) == 16
-    int(a, 16)

@@ -1,6 +1,7 @@
 """Stream generation: drift laws, spectra, deletion selection, serialization."""
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,14 +30,14 @@ from statealign.stream import (
 SMALL = StreamConfig(dimension=6, length=60, deletion_time=30, horizon=20)
 
 
-def _fd_grad(payload, w, ridge, h=1e-6):
+def _fd_grad(payload, w, h=1e-6):
     """Central-difference gradient, the independent check for loss_and_grad."""
     g = np.zeros_like(w)
     for i in range(w.size):
         e = np.zeros_like(w)
         e[i] = h
-        lp, _ = loss_and_grad(payload, w + e, ridge)
-        lm, _ = loss_and_grad(payload, w - e, ridge)
+        lp, _ = loss_and_grad(payload, w + e)
+        lm, _ = loss_and_grad(payload, w - e)
         g[i] = (lp - lm) / (2 * h)
     return g
 
@@ -56,8 +57,8 @@ def test_gradients_match_finite_differences(regime):
     rng = np.random.default_rng(0)
     for ev in strm.events[:8]:
         w = rng.normal(size=5)
-        _, g = loss_and_grad(ev.payload, w, cfg.ridge)
-        np.testing.assert_allclose(g, _fd_grad(ev.payload, w, cfg.ridge), rtol=0, atol=5e-5)
+        _, g = loss_and_grad(ev.payload, w)
+        np.testing.assert_allclose(g, _fd_grad(ev.payload, w), rtol=0, atol=5e-5)
 
 
 def test_hessian_matches_grad_finite_differences():
@@ -65,13 +66,13 @@ def test_hessian_matches_grad_finite_differences():
     strm = generate_stream(cfg, seed=7)
     w = np.random.default_rng(1).normal(size=4)
     ev = strm.events[0]
-    hess = loss_hessian(ev.payload, w, cfg.ridge)
+    hess = loss_hessian(ev.payload, w)
     step = 1e-6
     for i in range(4):
         e = np.zeros(4)
         e[i] = step
-        _, gp = loss_and_grad(ev.payload, w + e, cfg.ridge)
-        _, gm = loss_and_grad(ev.payload, w - e, cfg.ridge)
+        _, gp = loss_and_grad(ev.payload, w + e)
+        _, gm = loss_and_grad(ev.payload, w - e)
         np.testing.assert_allclose(hess[:, i], (gp - gm) / (2 * step), atol=1e-5)
 
 
@@ -162,6 +163,9 @@ def test_config_validation_rejects_bad_shapes():
         StreamConfig(length=100, deletion_time=90, horizon=20).validate()
     with pytest.raises(InvalidConfig):
         StreamConfig(length=100, deletion_time=4, deletion_size=5).validate()
+    with pytest.raises(InvalidConfig, match=r"condition_number \* mu must be finite"):
+        StreamConfig(condition_number=1e308, mu=10.0).validate()
+    StreamConfig(condition_number=1e307, mu=10.0).validate()
 
 
 # -- deletion selection ------------------------------------------------------
@@ -193,7 +197,7 @@ def test_high_gradient_mode_matches_recomputed_ranking():
     ds = select_deletion_set(strm, t_del=30, mode=DeletionMode.HIGH_GRADIENT, size=5, grad_state=w)
     norms = []
     for ev in strm.prefix(30):
-        _, g = loss_and_grad(ev.payload, w, SMALL.ridge)
+        _, g = loss_and_grad(ev.payload, w)
         norms.append((-float(np.linalg.norm(g)), ev.index))
     expected = frozenset(idx for _, idx in sorted(norms)[:5])
     assert ds.indices == expected
@@ -266,7 +270,25 @@ def test_logistic_roundtrip_preserves_labels(tmp_path):
     back = read_stream(str(path))
     for ev, ev2 in zip(strm.events, back.events):
         assert ev.payload.label == ev2.payload.label
+        assert ev.payload.ridge == ev2.payload.ridge == cfg.ridge
         np.testing.assert_array_equal(ev.payload.features, ev2.payload.features)
+
+
+def test_logistic_payload_carries_its_ridge_into_the_loss():
+    cfg = StreamConfig(
+        regime=Regime.LOGISTIC, dimension=4, length=20, deletion_time=10, horizon=5, ridge=0.3
+    )
+    payload = generate_stream(cfg, seed=3).events[0].payload
+    assert payload.ridge == 0.3
+    bare = replace(payload, ridge=0.0)
+    w = np.random.default_rng(2).normal(size=4)
+    loss, grad = loss_and_grad(payload, w)
+    bare_loss, bare_grad = loss_and_grad(bare, w)
+    assert loss == pytest.approx(bare_loss + 0.15 * float(w @ w), rel=1e-14)
+    np.testing.assert_allclose(grad, bare_grad + 0.3 * w, rtol=1e-14)
+    np.testing.assert_allclose(
+        loss_hessian(payload, w), loss_hessian(bare, w) + 0.3 * np.eye(4), rtol=1e-14
+    )
 
 
 GOLDEN_STREAM = GOLDEN_DIR / "stream" / "quadratic.stream"
