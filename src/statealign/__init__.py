@@ -51,8 +51,6 @@ from .olbfgs import (
     direct_memory_mass,
     initial_state,
     replay,
-    restore,
-    snapshot,
     step,
     two_loop,
 )

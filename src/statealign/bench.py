@@ -35,7 +35,7 @@ from .olbfgs import (
     StepConfig,
     initial_state,
     replay,
-    snapshot,
+    state_key,
     two_loop,
 )
 from .stream import (
@@ -55,6 +55,13 @@ from .stream import (
 EXACT_RECOVERY_EPS = 1e-12
 
 TRACE_COLUMNS = ("k", "E_w", "E_Z", "E_theta", "D_upd", "M_direct", "loss")
+
+
+def _check_seeds(seeds: tuple[int, ...]) -> None:
+    if len(seeds) != 1:
+        raise InvalidConfig(f"seeds takes one seed, got {len(seeds)}; use [grid] seed for several")
+    if seeds[0] < 0:
+        raise InvalidConfig(f"seed must be >= 0, got {seeds[0]}")
 
 
 @dataclass
@@ -78,8 +85,7 @@ class ExperimentConfig:
             raise InvalidConfig("probe_count must be >= 1")
         if self.memory_weight < 0:
             raise InvalidConfig("memory_weight must be >= 0")
-        if not self.seeds:
-            raise InvalidConfig("at least one seed is required")
+        _check_seeds(self.seeds)
         if self.contraction_trials < 0:
             raise InvalidConfig("contraction_trials must be >= 0")
         if self.privacy_epsilon <= 0:
@@ -191,15 +197,16 @@ def _propagate_lanes(
 ) -> list[MetricTrace]:
     """Step the oracle and every distinct start state in lockstep over `future`.
 
-    Lane 0 is the oracle. Start states with equal snapshots (the same bits
-    in w and memory) share one lane and one trace. Every lane, lane 0
-    included, is measured against lane 0, so a start state equal to the
-    oracle gets exactly the trace its own propagation would give.
+    Lane 0 is the oracle. Start states with equal `state_key`s (the same
+    bits in w and memory, and the same pair sources) share one lane and
+    one trace. Every lane, lane 0 included, is measured against lane 0,
+    so a start state equal to the oracle gets exactly the trace its own
+    propagation would give.
     The lanes step together in one LaneBank, with the bits that
     `advance` and `two_loop` give lane by lane. Returns one trace per
     start state, in order.
     """
-    keys = [snapshot(st) for st in (oracle0, *starts)]
+    keys = [state_key(st) for st in (oracle0, *starts)]
     by_key = dict(zip(keys, (oracle0, *starts)))
     bank = LaneBank(list(by_key.values()))
 
@@ -447,7 +454,9 @@ def grid_axis_field(name: str) -> tuple[str, Field]:
 
 def _apply_axis(cfg: ExperimentConfig, name: str, value) -> ExperimentConfig:
     if name == "seed":
-        return replace(cfg, seeds=(int(value),))
+        seeds = (int(value),)
+        _check_seeds(seeds)
+        return replace(cfg, seeds=seeds)
     part, f = grid_axis_field(name)
     if isinstance(f.default, Enum):
         try:
@@ -509,7 +518,7 @@ def run_grid(
     jobs = [(base, p, derive_point_seed(base.seeds[0], p)) for p in points]
     if workers <= 1 or len(jobs) == 1:
         return [_grid_worker(j) for j in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
         return list(pool.map(_grid_worker, jobs))
 
 

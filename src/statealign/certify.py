@@ -132,7 +132,7 @@ def _perturbed_copy(
             js = p.s + delta * 1e-2 * rng.standard_normal(d)
             jy = p.y + delta * 1e-2 * rng.standard_normal(d)
             if float(js @ jy) > 0.0:
-                jittered.append(CurvaturePair(s=js, y=jy, sources=p.sources))
+                jittered.append(CurvaturePair(s=js, y=jy, source=p.source))
             else:
                 jittered.append(p)
         out.memory.clear()

@@ -39,13 +39,14 @@ def build_parser() -> argparse.ArgumentParser:
     def add_run_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", type=str, default=None, help="key-value config file")
         p.add_argument("--out", type=str, default=None, help="output directory")
-        p.add_argument("--workers", type=int, default=1)
         p.add_argument("--seed", type=int, default=None, help="override the base seed")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     add_run_args(sub.add_parser("exp1", help="decay run without intervention"))
     add_run_args(sub.add_parser("exp2", help="full intervention comparison"))
-    add_run_args(sub.add_parser("grid", help="axis-product sweep"))
+    grid = sub.add_parser("grid", help="axis-product sweep")
+    add_run_args(grid)
+    grid.add_argument("--workers", type=int, default=1)
 
     gen = sub.add_parser("gen-stream", help="write a synthetic stream file")
     gen.add_argument("--config", type=str, default=None)

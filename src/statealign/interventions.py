@@ -175,7 +175,7 @@ def apply(spec: InterventionSpec, ctx: InterventionContext) -> IntervenedState:
     elif kind is InterventionKind.CONTAMINATED_PAIR_DROP:
         state = ctx.actual.clone()
         banned = ctx.deletions.indices
-        state.memory.drop(lambda p: bool(p.sources & banned))
+        state.memory.drop(lambda p: p.source in banned)
     elif kind is InterventionKind.WINDOW_REPLAY:
         state, replayed = _window_replay(ctx, spec.window)
     elif kind is InterventionKind.DROP_AND_REFILL:

@@ -5,14 +5,12 @@ the gradient of the incoming event at the current parameters, moves along
 the two-loop direction with a constant step size, then forms
 s = w' - w and y = grad(w') - grad(w) from the same event, accepting the
 pair only when s'y exceeds a curvature threshold. Every pair records the
-event indices that produced it, which is what deletion audits consume.
+index of the event that produced it, which is what deletion audits consume.
 A LaneBank steps several states together with one batched two-loop per
 step and the same bits as stepping each state alone.
 """
 from __future__ import annotations
 
-import base64
-import json
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -21,14 +19,12 @@ import numpy as np
 from .errors import DimensionMismatch, InvalidConfig
 from .stream import DeletionSet, Event, loss_and_grad, require_finite
 
-SNAPSHOT_VERSION = 3
-
 
 @dataclass(frozen=True, slots=True)
 class CurvaturePair:
     s: np.ndarray
     y: np.ndarray
-    sources: frozenset[int]
+    source: int
 
 
 @dataclass
@@ -97,6 +93,12 @@ class OptimizerState:
         return OptimizerState(w=self.w.copy(), memory=self.memory.clone())
 
 
+def state_key(state: OptimizerState) -> tuple:
+    """Hashable key, equal for two states exactly when w, tau and every pair match bit for bit."""
+    pairs = tuple((p.s.tobytes(), p.y.tobytes(), p.source) for p in state.memory.pairs)
+    return state.w.tobytes(), state.memory.tau, pairs
+
+
 @dataclass(frozen=True, slots=True)
 class StepInfo:
     """Byproducts of one update, recorded before the move."""
@@ -121,9 +123,8 @@ class LaneBank:
     every empty slot holds zero vectors with rho = 0. rho and gamma (1 on
     an empty lane) are cached at push time with the expressions `two_loop`
     evaluates, so the batched recursion gives every lane its scalar result
-    bit for bit.
-    `sources` keeps each lane's pair provenance, oldest first. len(bank) is
-    the deepest lane's pair count.
+    bit for bit. `src` is the (lanes, tau) ring of each pair's source event
+    index, -1 in empty slots. len(bank) is the deepest lane's pair count.
     """
 
     def __init__(self, states: list[OptimizerState]) -> None:
@@ -135,35 +136,33 @@ class LaneBank:
         self.S = np.zeros((m, self.tau, d))
         self.Y = np.zeros((m, self.tau, d))
         self.rho = np.zeros((m, self.tau))
+        self.src = np.full((m, self.tau), -1, dtype=np.int64)
         self.gamma = np.ones(m)
         self.depth = np.zeros(m, dtype=np.int64)
-        self.sources = [deque(maxlen=self.tau) for _ in states]
         for i, st in enumerate(states):
             for p in st.memory.pairs:
-                self._push(np.array([i]), p.s[None, :], p.y[None, :], [float(p.s @ p.y)], [p.sources])
+                self._push(np.array([i]), p.s[None, :], p.y[None, :], [float(p.s @ p.y)], p.source)
 
     def __len__(self) -> int:
         return int(self.depth.max())
 
-    def _push(self, lanes: np.ndarray, s: np.ndarray, y: np.ndarray, sy: list[float], sources) -> None:
+    def _push(self, lanes: np.ndarray, s: np.ndarray, y: np.ndarray, sy: list[float], source: int) -> None:
         """Append pair k = (s[k], y[k]), with s'y = sy[k], as the newest of lane lanes[k].
 
-        A full lane evicts its oldest pair.
+        Every pair pushed in one call comes from event index `source`. A
+        full lane evicts its oldest pair.
         """
-        for ring, new in ((self.S, s), (self.Y, y)):
+        rho = 1.0 / np.array(sy)
+        for ring, new in ((self.S, s), (self.Y, y), (self.rho, rho), (self.src, source)):
             ring[lanes, :-1] = ring[lanes, 1:]
             ring[lanes, -1] = new
-        self.rho[lanes, :-1] = self.rho[lanes, 1:]
         for k, i in enumerate(lanes):
-            self.rho[i, -1] = 1.0 / sy[k]
             self.gamma[i] = sy[k] / float(y[k] @ y[k])
-            self.sources[i].append(sources[k])
         self.depth[lanes] = np.minimum(self.depth[lanes] + 1, self.tau)
 
-    def direct_mass(self, deletions: DeletionSet) -> list[int]:
-        """Per lane, the stored pairs whose sources intersect the deleted indices."""
-        banned = deletions.indices
-        return [sum(1 for src in lane if src & banned) for lane in self.sources]
+    def direct_mass(self, deletions: DeletionSet) -> np.ndarray:
+        """Per lane, the stored pairs whose source event is deleted."""
+        return np.isin(self.src, list(deletions.indices)).sum(axis=1)
 
     def move(self, event: Event, cfg: StepConfig) -> tuple[list[float], np.ndarray]:
         """Every lane's `advance` on one event, in place.
@@ -183,8 +182,7 @@ class LaneBank:
         sy = [float(si @ yi) for si, yi in zip(s, y)]
         accepted = np.flatnonzero([v > cfg.curvature_eps for v in sy])
         if accepted.size:
-            sources = [frozenset((event.index,))] * accepted.size
-            self._push(accepted, s[accepted], y[accepted], [sy[i] for i in accepted], sources)
+            self._push(accepted, s[accepted], y[accepted], [sy[i] for i in accepted], event.index)
         self.w = w_next
         return list(losses), direction
 
@@ -277,7 +275,7 @@ def advance(state: OptimizerState, event: Event, cfg: StepConfig) -> tuple[Optim
     nxt.w = w_next
     accepted = float(s @ y) > cfg.curvature_eps
     if accepted:
-        nxt.memory.push(CurvaturePair(s=s, y=y, sources=frozenset((event.index,))))
+        nxt.memory.push(CurvaturePair(s=s, y=y, source=event.index))
     return nxt, StepInfo(loss=loss, direction=direction, pair_accepted=accepted)
 
 
@@ -298,52 +296,5 @@ def replay(theta0: OptimizerState, history: list[Event], cfg: StepConfig) -> Opt
 
 
 def direct_memory_mass(memory: MemoryState, deletions: DeletionSet) -> int:
-    """Number of stored pairs whose sources intersect the deleted indices."""
-    if not deletions.indices:
-        return 0
-    banned = deletions.indices
-    return sum(1 for p in memory.pairs if p.sources & banned)
-
-
-def _b64(a: np.ndarray) -> str:
-    return base64.b64encode(np.asarray(a, dtype="<f8").tobytes()).decode("ascii")
-
-
-def _unb64(blob: str) -> np.ndarray:
-    return np.frombuffer(base64.b64decode(blob, validate=True), dtype="<f8").copy()
-
-
-def snapshot(state: OptimizerState) -> str:
-    """Versioned text snapshot preserving every float bit-exactly."""
-    doc = {
-        "version": SNAPSHOT_VERSION,
-        "w": _b64(state.w),
-        "memory": {
-            "tau": state.memory.tau,
-            "pairs": [
-                {"s": _b64(p.s), "y": _b64(p.y), "sources": sorted(p.sources)}
-                for p in state.memory.pairs
-            ],
-        },
-    }
-    return json.dumps(doc, sort_keys=True)
-
-
-def restore(text: str) -> OptimizerState:
-    """Rebuild the state a `snapshot` text holds; malformed text raises InvalidConfig."""
-    try:
-        doc = json.loads(text)
-        version = doc.get("version") if isinstance(doc, dict) else None
-        if version != SNAPSHOT_VERSION:
-            raise InvalidConfig(f"unsupported snapshot version {version!r}")
-        w = _unb64(doc["w"])
-        mem_doc = doc["memory"]
-        memory = MemoryState(tau=int(mem_doc["tau"]))
-        for p in mem_doc["pairs"]:
-            s, y = _unb64(p["s"]), _unb64(p["y"])
-            if s.shape != w.shape or y.shape != w.shape:
-                raise InvalidConfig(f"malformed snapshot: a pair vector is not {w.size} long")
-            memory.push(CurvaturePair(s=s, y=y, sources=frozenset(int(i) for i in p["sources"])))
-        return OptimizerState(w=w, memory=memory)
-    except (ValueError, KeyError, TypeError, OverflowError) as exc:
-        raise InvalidConfig(f"malformed snapshot: {exc!r}") from exc
+    """Number of stored pairs whose source event is deleted."""
+    return sum(1 for p in memory.pairs if p.source in deletions.indices)

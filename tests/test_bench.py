@@ -34,7 +34,7 @@ from statealign.interventions import (
     parse_intervention,
 )
 from statealign.metrics import MetricTrace, make_probes
-from statealign.olbfgs import StepConfig, advance, direct_memory_mass, snapshot, two_loop
+from statealign.olbfgs import StepConfig, advance, direct_memory_mass, state_key, two_loop
 from statealign.stream import Regime, StreamConfig
 
 
@@ -154,7 +154,7 @@ def test_phase_fit_reads_only_a_too_short_interval_as_nan(monkeypatch):
 def test_oracle_intervention_reproduces_the_oracle_state_bit_for_bit():
     _, ctx, oracle0 = bench.prepare_run(small_config(), 7)
     oracle = apply_intervention(parse_intervention("oracle", ctx.step_cfg.tau), ctx)
-    assert snapshot(oracle.state) == snapshot(oracle0)
+    assert state_key(oracle.state) == state_key(oracle0)
 
 
 def test_identical_start_states_share_one_propagation(monkeypatch):
@@ -175,7 +175,7 @@ def test_identical_start_states_share_one_propagation(monkeypatch):
 
 def reference_propagation(oracle0, starts, future, cfg, probes, memory_weight, deletions):
     """_propagate_lanes before the lane bank: scalar two_loop and advance, lane by lane."""
-    keys = [snapshot(st) for st in (oracle0, *starts)]
+    keys = [state_key(st) for st in (oracle0, *starts)]
     by_key = dict(zip(keys, (oracle0, *starts)))
     lanes = list(by_key.values())
 
@@ -282,6 +282,23 @@ def test_a_start_state_one_ulp_from_the_oracle_gets_its_own_lane():
     assert apart.param_err[0] > 0.0
 
 
+def test_pair_source_is_part_of_the_lane_key():
+    cfg = small_config()
+    strm, ctx, oracle0 = bench.prepare_run(cfg, 7)
+    deleted, kept = ctx.actual.clone(), ctx.actual.clone()
+    newest = ctx.actual.memory.pairs[-1]
+    deleted.memory.pairs[-1] = replace(newest, source=min(ctx.deletions.indices))
+    kept.memory.pairs[-1] = replace(newest, source=cfg.stream.length)
+    future = strm.future(cfg.stream.deletion_time, cfg.stream.horizon)
+    probes = make_probes(cfg.stream.dimension, cfg.probe_count, 7)
+    a, b = bench._propagate_lanes(
+        oracle0, [deleted, kept], future, ctx.step_cfg, probes, 1.0, ctx.deletions
+    )
+    assert a is not b
+    assert a.direct_mass[0] == b.direct_mass[0] + 1
+    assert a.state_err.tobytes() == b.state_err.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Grids
 # ---------------------------------------------------------------------------
@@ -340,6 +357,37 @@ def test_grid_checks_every_axis_value_before_any_point_runs(monkeypatch):
     monkeypatch.setattr(bench, "_run_single", lambda *args, **kwargs: ran.append(args))
     with pytest.raises(InvalidAxis, match="cubic"):
         run_grid(small_config(), {"regime": ["quadratic", "cubic"]}, workers=1)
+    assert ran == []
+
+
+def test_grid_pool_has_no_more_workers_than_points(monkeypatch):
+    made = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(bench, "_grid_worker", lambda job: job[1])
+    assert run_grid(small_config(), {"tau": [3, 5]}, workers=64) == [{"tau": 3}, {"tau": 5}]
+    assert len(run_grid(small_config(), {"kappa": [2.0, 8.0], "tau": [3, 5]}, workers=3)) == 4
+    assert made == [2, 3]
+
+
+def test_grid_rejects_a_negative_seed_before_any_point_runs(monkeypatch):
+    ran = []
+    monkeypatch.setattr(bench, "_run_single", lambda *args, **kwargs: ran.append(args))
+    with pytest.raises(InvalidConfig, match="seed must be >= 0, got -4"):
+        run_grid(small_config(), {"seed": [1, -4]}, workers=1)
     assert ran == []
 
 
@@ -526,6 +574,10 @@ def test_config_validation_rejects_bad_knobs():
         small_config(memory_weight=-0.5).validate()
     with pytest.raises(InvalidConfig):
         small_config(seeds=()).validate()
+    with pytest.raises(InvalidConfig):
+        small_config(seeds=(1, 2)).validate()
+    with pytest.raises(InvalidConfig):
+        small_config(seeds=(-1,)).validate()
     with pytest.raises(InvalidConfig):
         small_config(memory_weight=float("nan")).validate()
     with pytest.raises(InvalidConfig):

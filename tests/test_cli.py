@@ -78,6 +78,42 @@ def test_bad_seed_list_exits_1(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "argv, grid",
+    [
+        (["exp2", "--seed", "-1"], ""),
+        (["gen-stream", "--seed", "-2", "--out", "{tmp}/s.stream"], ""),
+        (["grid"], "\n[grid]\nseed = -4, 1\n"),
+    ],
+)
+def test_negative_seed_exits_1(capsys, tmp_path, argv, grid):
+    path = tmp_path / "exp.ini"
+    path.write_text(SMALL + grid)
+    argv = [a.format(tmp=tmp_path) for a in argv] + ["--config", str(path)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "config error: seed must be >= 0, got -" in captured.err
+    assert "exact_recovery" not in captured.out
+    assert not (tmp_path / "s.stream").exists()
+
+
+def test_more_than_one_seed_exits_1(capsys, tmp_path):
+    path = tmp_path / "exp.ini"
+    path.write_text(SMALL.replace("seeds = 7", "seeds = 0, 1, 2"))
+    assert main(["exp2", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "config error: seeds takes one seed, got 3; use [grid] seed" in captured.err
+    assert "exact_recovery" not in captured.out
+
+
+@pytest.mark.parametrize("command", ["exp1", "exp2"])
+def test_workers_is_a_grid_only_flag(capsys, small_cfg, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(small_cfg), "--workers", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "section, key",
     [
         ("optimizer", "eta"),

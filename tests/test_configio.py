@@ -35,7 +35,7 @@ interventions = oracle, noop, window:12
 probe_count = 8
 memory_weight = 0.25
 contraction_trials = 0
-seeds = 3, 4
+seeds = 3
 privacy_epsilon = 2.0
 """
 
@@ -53,7 +53,7 @@ def test_load_config_covers_all_sections(tmp_path):
     assert cfg.optimizer.curvature_eps == 1e-6
     assert cfg.interventions == ("oracle", "noop", "window:12")
     assert cfg.memory_weight == 0.25
-    assert cfg.seeds == (3, 4)
+    assert cfg.seeds == (3,)
     assert cfg.privacy_epsilon == 2.0
     # untouched knobs keep their defaults
     assert cfg.privacy_delta == 0.05

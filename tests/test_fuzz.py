@@ -1,5 +1,5 @@
-"""Readers of outside text: edited stream files, snapshots, config files
-and method ids fail typed.
+"""Readers of outside text: edited stream files, config files and method
+ids fail typed.
 
 Each example deletes, inserts or truncates characters (for config files,
 bytes) of a valid text. The reader either accepts the result or raises a
@@ -16,7 +16,6 @@ from golden.regenerate import GOLDEN_DIR, STREAM_FILES
 from statealign.configio import load_config, load_grid_axes
 from statealign.errors import StateAlignError
 from statealign.interventions import parse_intervention
-from statealign.olbfgs import StepConfig, initial_state, replay, restore, snapshot
 from statealign.stream import read_stream
 
 STREAMS = [GOLDEN_DIR / "stream" / name for name in sorted(STREAM_FILES)]
@@ -56,19 +55,6 @@ def test_edited_stream_file_reads_or_raises_a_statealign_error(edit_dir, which, 
     path.write_text(_edited(STREAMS[which].read_text(), edits), encoding="utf-8")
     try:
         read_stream(str(path))
-    except StateAlignError:
-        pass
-
-
-CFG = StepConfig(eta=0.1, tau=3)
-SNAPSHOT = snapshot(replay(initial_state(3, CFG), read_stream(str(STREAMS[0])).prefix(4), CFG))
-
-
-@settings(max_examples=400, deadline=None)
-@given(edits=EDITS)
-def test_edited_snapshot_restores_or_raises_a_statealign_error(edits):
-    try:
-        restore(_edited(SNAPSHOT, edits))
     except StateAlignError:
         pass
 

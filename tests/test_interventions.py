@@ -92,8 +92,8 @@ def test_pair_drop_removes_exactly_contaminated_pairs():
     before = list(ctx.actual.memory.pairs)
     out = apply(parse_intervention("pair_drop", tau=5), ctx)
     kept = list(out.state.memory.pairs)
-    assert all(not (p.sources & banned) for p in kept)
-    expected_kept = [p for p in before if not (p.sources & banned)]
+    assert all(p.source not in banned for p in kept)
+    expected_kept = [p for p in before if p.source not in banned]
     assert len(kept) == len(expected_kept)
     for p, q in zip(kept, expected_kept):
         np.testing.assert_array_equal(p.s, q.s)

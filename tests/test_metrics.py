@@ -47,7 +47,7 @@ def test_memory_operator_error_agrees_with_manual_two_loop():
     mem_a = MemoryState(tau=4)
     mem_b = MemoryState(tau=4)
     s = rng.normal(size=3)
-    mem_a.push(CurvaturePair(s=s, y=2.0 * s, sources=frozenset({1})))
+    mem_a.push(CurvaturePair(s=s, y=2.0 * s, source=1))
     probes = make_probes(3, 8, seed=5)
     got = memory_operator_error(mem_a, mem_b, probes)
     diffs = two_loop(mem_a, probes) - two_loop(mem_b, probes)
@@ -76,7 +76,7 @@ def test_probe_half_split_estimates_agree():
         s = rng.normal(size=12)
         y = rng.normal(size=12)
         if s @ y > 1e-3:
-            mem_a.push(CurvaturePair(s=s, y=y, sources=frozenset({t})))
+            mem_a.push(CurvaturePair(s=s, y=y, source=t))
     probes = make_probes(12, 32, seed=0)
     diffs = two_loop(mem_a, probes) - two_loop(mem_b, probes)
     norms = np.sum(diffs * diffs, axis=0)

@@ -1,8 +1,5 @@
 """Two-loop recursion against a dense-matrix oracle, plus state mechanics."""
 
-import base64
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,8 +16,7 @@ from statealign.olbfgs import (
     direct_memory_mass,
     initial_state,
     replay,
-    restore,
-    snapshot,
+    state_key,
     step,
     two_loop,
     _lanes_two_loop,
@@ -63,7 +59,7 @@ def random_memory(rng, d, n_pairs, tau=8):
         y = rng.normal(size=d)
         if float(s @ y) <= 1e-3:
             continue
-        mem.push(CurvaturePair(s=s, y=y, sources=frozenset({t})))
+        mem.push(CurvaturePair(s=s, y=y, source=t))
         made += 1
     return mem
 
@@ -88,7 +84,7 @@ def test_two_loop_single_pair_is_exact_newton_in_1d():
     h = 3.7
     s = np.array([0.9])
     mem = MemoryState(tau=4)
-    mem.push(CurvaturePair(s=s, y=h * s, sources=frozenset({1})))
+    mem.push(CurvaturePair(s=s, y=h * s, source=1))
     q = np.array([2.0])
     np.testing.assert_allclose(two_loop(mem, q), q / h, rtol=1e-14)
 
@@ -152,7 +148,7 @@ def lane_memory(rng, d, tau, n_candidates, eps):
         s = rng.normal(size=d)
         y = rng.normal(size=d) + rng.uniform(-1.0, 2.0) * s
         if float(s @ y) > eps:
-            mem.push(CurvaturePair(s=s, y=y, sources=frozenset({t})))
+            mem.push(CurvaturePair(s=s, y=y, source=t))
     return mem
 
 
@@ -234,7 +230,8 @@ def test_lane_bank_move_matches_advance_bit_for_bit(seed, tau, logistic, curvatu
             assert same_bits(bank.w[i], lanes[i].w)
             pairs = lanes[i].memory.pairs
             assert bank.depth[i] == len(pairs)
-            assert list(bank.sources[i]) == [p.sources for p in pairs]
+            assert bank.src[i, tau - len(pairs):].tolist() == [p.source for p in pairs]
+            assert (bank.src[i, : tau - len(pairs)] == -1).all()
             for slot, p in zip(range(tau - len(pairs), tau), pairs):
                 assert same_bits(bank.S[i, slot], p.s) and same_bits(bank.Y[i, slot], p.y)
     assert accepted > 0
@@ -254,15 +251,15 @@ def test_memory_evicts_oldest_beyond_tau():
     rng = np.random.default_rng(0)
     mem = random_memory(rng, 3, 5, tau=3)
     assert len(mem.pairs) == 3
-    # random_memory tags pair k with source {t}, t increasing
-    assert [min(p.sources) for p in mem.pairs] == sorted(min(p.sources) for p in mem.pairs)
+    # random_memory tags pair k with source t, t increasing
+    assert [p.source for p in mem.pairs] == sorted(p.source for p in mem.pairs)
 
 
 def test_direct_memory_mass_counts_source_overlap():
     mem = MemoryState(tau=4)
     for t in range(1, 5):
         s = np.array([1.0, float(t)])
-        mem.push(CurvaturePair(s=s, y=s, sources=frozenset({t})))
+        mem.push(CurvaturePair(s=s, y=s, source=t))
     ds = DeletionSet(indices=frozenset({2, 4, 9}))
     assert direct_memory_mass(mem, ds) == 2
     empty = DeletionSet(indices=frozenset())
@@ -290,7 +287,7 @@ def test_advance_accepts_pair_and_tracks_provenance():
     state, info = advance(state, strm.events[0], CFG)
     assert info.pair_accepted
     assert len(state.memory) == 1
-    assert state.memory.pairs[-1].sources == frozenset({strm.events[0].index})
+    assert state.memory.pairs[-1].source == strm.events[0].index
 
 
 def test_advance_rejects_flat_curvature():
@@ -311,7 +308,7 @@ def test_step_returns_advanced_state_only():
     state = initial_state(6, CFG)
     via_advance, _ = advance(state, strm.events[0], CFG)
     via_step = step(state, strm.events[0], CFG)
-    assert snapshot(via_advance) == snapshot(via_step)
+    assert state_key(via_advance) == state_key(via_step)
 
 
 def test_replay_is_deterministic_and_order_sensitive():
@@ -319,7 +316,7 @@ def test_replay_is_deterministic_and_order_sensitive():
     events = strm.prefix(20)
     a = replay(initial_state(6, CFG), events, CFG)
     b = replay(initial_state(6, CFG), events, CFG)
-    assert snapshot(a) == snapshot(b)
+    assert state_key(a) == state_key(b)
 
     reordered = [events[1], events[0], *events[2:]]
     c = replay(initial_state(6, CFG), reordered, CFG)
@@ -337,54 +334,6 @@ def test_replay_descent_on_static_quadratic():
     start_gap = float(np.linalg.norm(state.w - target))
     end = replay(state, list(strm.events), CFG)
     assert float(np.linalg.norm(end.w - target)) < 0.02 * start_gap
-
-
-# -- snapshots ----------------------------------------------------------------
-
-def test_snapshot_roundtrip_is_bit_exact():
-    strm = generate_stream(STREAM_CFG, seed=9)
-    cfg = StepConfig(eta=0.1, tau=4)
-    state = replay(initial_state(6, cfg), strm.prefix(15), cfg)
-    text = snapshot(state)
-    back = restore(text)
-    np.testing.assert_array_equal(back.w, state.w)
-    assert back.memory.tau == state.memory.tau
-    assert len(back.memory.pairs) == len(state.memory.pairs)
-    for p, q in zip(state.memory.pairs, back.memory.pairs):
-        np.testing.assert_array_equal(p.s, q.s)
-        np.testing.assert_array_equal(p.y, q.y)
-        assert p.sources == q.sources
-    assert snapshot(back) == text
-
-
-def test_restore_rejects_a_version_1_snapshot():
-    strm = generate_stream(STREAM_CFG, seed=9)
-    cfg = StepConfig(eta=0.1, tau=4)
-    state = replay(initial_state(6, cfg), strm.prefix(15), cfg)
-    doc = json.loads(snapshot(state))
-    assert doc["version"] == 3
-    assert sorted(doc) == ["memory", "version", "w"]
-    assert sorted(doc["memory"]) == ["pairs", "tau"]
-    assert all(sorted(p) == ["s", "sources", "y"] for p in doc["memory"]["pairs"])
-    # Version 2 also stored a config digest, the step count, the gamma
-    # settings and each pair's creation step; version 1 the last gradient.
-    v2 = {**doc, "version": 2, "config_digest": "0" * 16, "step": 15}
-    v2["memory"] = {**doc["memory"], "gamma0": 1.0, "gamma_mode": "newest_pair"}
-    v1 = {**v2, "version": 1, "prev_grad": None}
-    for old in (v1, v2):
-        with pytest.raises(InvalidConfig, match=f"version {old['version']}"):
-            restore(json.dumps(old))
-
-
-def test_restore_rejects_a_pair_of_the_wrong_length():
-    cfg = StepConfig(eta=0.1, tau=4)
-    scfg = StreamConfig(dimension=3, length=20, deletion_time=10, horizon=5)
-    state = replay(initial_state(3, cfg), generate_stream(scfg, seed=9).prefix(10), cfg)
-    doc = json.loads(snapshot(state))
-    two_floats = np.array([1.0, 2.0], dtype="<f8").tobytes()
-    doc["memory"]["pairs"][0]["y"] = base64.b64encode(two_floats).decode("ascii")
-    with pytest.raises(InvalidConfig, match="malformed snapshot"):
-        restore(json.dumps(doc))
 
 
 @pytest.mark.parametrize("key", ["eta", "curvature_eps"])
