@@ -26,8 +26,8 @@ from .certify import (
 )
 from .interventions import (
     DEFAULT_METHOD_IDS,
+    METHODS,
     InterventionContext,
-    InterventionKind,
     InterventionSpec,
     apply,
     parse_intervention,

@@ -23,6 +23,7 @@ from . import certify, metrics
 from .errors import EmptyResults, IntervalTooShort, InvalidAxis, InvalidConfig
 from .interventions import (
     DEFAULT_METHOD_IDS,
+    METHODS,
     InterventionContext,
     InterventionCost,
     apply as apply_intervention,
@@ -46,7 +47,6 @@ from .stream import (
     QuadraticSample,
     StreamConfig,
     atomic_write,
-    edit_history,
     generate_stream,
     require_finite,
     select_deletion_set,
@@ -93,7 +93,7 @@ class ExperimentConfig:
         if not 0 < self.privacy_delta < 1:
             raise InvalidConfig("privacy_delta must lie in (0, 1)")
         for method_id in self.interventions:
-            parse_intervention(method_id, self.optimizer.tau)
+            parse_intervention(method_id)
 
 
 def experiment1_defaults() -> ExperimentConfig:
@@ -311,11 +311,10 @@ def prepare_run(
     """The pre-deletion protocol: stream, training, deletions, oracle.
 
     Generates the stream, trains from the global initial state on the
-    prefix up to t_del, selects the deletion set at the trained state and
-    replays the edited prefix from the initial state. Returns the stream,
-    the context every intervention receives (theta0, the unedited prefix,
-    the trained state, the deletions and the step config) and the oracle
-    state at t_del.
+    prefix up to t_del and selects the deletion set at the trained state.
+    Returns the stream, the context every intervention receives (theta0,
+    the unedited prefix, the trained state, the deletions and the step
+    config) and the oracle state at t_del, which the `oracle` row gives.
     """
     cfg.validate()
     scfg = cfg.stream
@@ -327,11 +326,10 @@ def prepare_run(
     deletions = select_deletion_set(
         strm, scfg.deletion_time, scfg.deletion_mode, scfg.deletion_size, grad_state=actual.w
     )
-    oracle0 = replay(theta0, edit_history(prefix, deletions), step_cfg)
     ctx = InterventionContext(
         actual=actual, deletions=deletions, step_cfg=step_cfg, theta0=theta0, full_prefix=prefix
     )
-    return strm, ctx, oracle0
+    return strm, ctx, METHODS["oracle"](ctx)[0]
 
 
 def _run_single(
@@ -347,7 +345,7 @@ def _run_single(
 
     future = [e for e in strm.future(t_del, horizon) if e.index not in deletions.indices]
     probes = make_probes(scfg.dimension, cfg.probe_count, seed)
-    intervened = [apply_intervention(parse_intervention(m, tau), ctx) for m in method_ids]
+    intervened = [apply_intervention(parse_intervention(m), ctx) for m in method_ids]
     method_traces = _propagate_lanes(
         oracle0,
         [iv.state for iv in intervened],
@@ -394,10 +392,12 @@ def _run_single(
                     row.alpha_bound, cfg.privacy_epsilon, cfg.privacy_delta
                 )
             if noop_trace is not None:
-                bound = noop_trace.state_err[0]
-                for k in range(1, len(noop_trace)):
-                    bound *= rho_emp
-                    if noop_trace.state_err[k] > bound * (1.0 + 1e-9) + 1e-15:
+                errs = noop_trace.state_err
+                bounds = certify.deviation_bound_trace(
+                    certify.BoundInputs(rho_emp, errs[0], (0.0,) * (len(errs) - 1))
+                )
+                for k in range(1, len(errs)):
+                    if errs[k] > bounds[k] * (1.0 + 1e-9) + 1e-15:
                         violations.append(
                             f"contractive-updates: NoOp trace exceeds bound at k={k}"
                         )
@@ -509,6 +509,8 @@ def run_grid(
     Each point gets its own derived seed so results are independent of
     worker count and completion order.
     """
+    if workers < 1:
+        raise InvalidConfig(f"workers must be >= 1, got {workers}")
     for name, values in axes.items():
         if not values:
             raise InvalidAxis(f"grid axis {name!r} has no values")

@@ -50,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen-stream", help="write a synthetic stream file")
     gen.add_argument("--config", type=str, default=None)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=int, default=None)
     gen.add_argument("--out", type=str, required=True, help="output stream file")
 
     cert = sub.add_parser("certify", help="noise level for a deviation bound")
@@ -139,8 +139,7 @@ def _cmd_grid(args) -> int:
 
 def _cmd_gen_stream(args) -> int:
     cfg = _load_cfg(args, bench.experiment2_defaults())
-    seed = args.seed if args.seed is not None else cfg.seeds[0]
-    strm = generate_stream(cfg.stream, seed)
+    strm = generate_stream(cfg.stream, cfg.seeds[0])
     write_stream(strm, args.out)
     print(f"wrote {len(strm.events)} events to {args.out}")
     return EXIT_OK
@@ -165,7 +164,7 @@ def _cmd_inspect(args) -> int:
         print(f"events {len(strm.events)}")
         return EXIT_OK
     cfg = _load_cfg(args, bench.experiment2_defaults())
-    seed = args.seed if args.seed is not None else cfg.seeds[0]
+    seed = cfg.seeds[0]
     _, ctx, oracle = bench.prepare_run(cfg, seed)
     print(
         f"trained {len(ctx.full_prefix)} events: |w|={float(np.linalg.norm(ctx.actual.w))!r} "
@@ -173,8 +172,7 @@ def _cmd_inspect(args) -> int:
     )
     print(f"deletion set ({cfg.stream.deletion_mode.value}): {sorted(ctx.deletions.indices)}")
     if args.intervention:
-        spec = parse_intervention(args.intervention, ctx.step_cfg.tau)
-        intervened = apply_intervention(spec, ctx)
+        intervened = apply_intervention(parse_intervention(args.intervention), ctx)
         probes = metrics.make_probes(cfg.stream.dimension, cfg.probe_count, seed)
         e_w = metrics.param_error(intervened.state.w, oracle.w)
         e_z = metrics.memory_operator_error(intervened.state.memory, oracle.memory, probes)

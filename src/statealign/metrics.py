@@ -144,7 +144,9 @@ class MetricTrace:
     Entry k describes the state after k future events. direction_err and
     loss refer to the event consumed between k and k+1, so their final
     entry is nan; direction_err is also nan where a direction was
-    degenerate. Those entries are excluded from sums.
+    degenerate. Those entries are excluded from the direction AUC. The
+    state and parameter AUCs are plain sums, so a non-finite entry (a
+    diverged run) makes them non-finite rather than vanish.
     """
 
     param_err: np.ndarray
@@ -158,10 +160,10 @@ class MetricTrace:
         return int(self.state_err.size)
 
     def state_auc(self) -> float:
-        return auc(self.state_err)
+        return float(np.sum(self.state_err))
 
     def param_auc(self) -> float:
-        return auc(self.param_err)
+        return float(np.sum(self.param_err))
 
     def direction_auc(self) -> float:
         return auc(self.direction_err)

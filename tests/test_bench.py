@@ -133,6 +133,22 @@ def test_contraction_feeds_alpha_bound_and_sigma():
         assert any("rho_emp" in v for v in res.assumption_violations)
 
 
+def test_noop_trace_above_the_contraction_bound_is_a_violation(monkeypatch):
+    monkeypatch.setattr(bench.certify, "empirical_contraction", lambda *args, **kwargs: 0.5)
+    res = run_experiment2(small_config(contraction_trials=1))
+    errs = res.traces["noop"].state_err
+    bound, first = errs[0], None
+    for k in range(1, len(errs)):
+        bound = 0.5 * bound
+        if errs[k] > bound * (1.0 + 1e-9) + 1e-15:
+            first = k
+            break
+    assert first is not None
+    assert res.assumption_violations == [
+        f"contractive-updates: NoOp trace exceeds bound at k={first}"
+    ]
+
+
 def test_phase_fit_reads_only_a_too_short_interval_as_nan(monkeypatch):
     trace = np.array([1.0, 0.5, 0.25, 0.125])
     assert bench._phase_fit(trace, 0, 3) == pytest.approx(0.5, rel=1e-12)
@@ -153,7 +169,7 @@ def test_phase_fit_reads_only_a_too_short_interval_as_nan(monkeypatch):
 
 def test_oracle_intervention_reproduces_the_oracle_state_bit_for_bit():
     _, ctx, oracle0 = bench.prepare_run(small_config(), 7)
-    oracle = apply_intervention(parse_intervention("oracle", ctx.step_cfg.tau), ctx)
+    oracle = apply_intervention(parse_intervention("oracle"), ctx)
     assert state_key(oracle.state) == state_key(oracle0)
 
 
@@ -249,8 +265,7 @@ def test_propagate_lanes_matches_the_per_lane_loop_bit_for_bit(
         optimizer=replace(cfg.optimizer, **optimizer_overrides),
     )
     strm, ctx, oracle0 = bench.prepare_run(cfg, 7)
-    tau = ctx.step_cfg.tau
-    starts = [apply_intervention(parse_intervention(m, tau), ctx).state for m in DEFAULT_METHOD_IDS]
+    starts = [apply_intervention(parse_intervention(m), ctx).state for m in DEFAULT_METHOD_IDS]
     future = strm.future(cfg.stream.deletion_time, cfg.stream.horizon)
     probes = make_probes(cfg.stream.dimension, cfg.probe_count, 7)
     args = (oracle0, starts, future, ctx.step_cfg, probes, 0.7, ctx.deletions)
@@ -381,6 +396,15 @@ def test_grid_pool_has_no_more_workers_than_points(monkeypatch):
     assert run_grid(small_config(), {"tau": [3, 5]}, workers=64) == [{"tau": 3}, {"tau": 5}]
     assert len(run_grid(small_config(), {"kappa": [2.0, 8.0], "tau": [3, 5]}, workers=3)) == 4
     assert made == [2, 3]
+
+
+@pytest.mark.parametrize("workers", [0, -5])
+def test_grid_rejects_workers_below_one_before_any_point_runs(monkeypatch, workers):
+    ran = []
+    monkeypatch.setattr(bench, "_grid_worker", ran.append)
+    with pytest.raises(InvalidConfig, match=f"workers must be >= 1, got {workers}"):
+        run_grid(small_config(), {"tau": [3, 5]}, workers=workers)
+    assert ran == []
 
 
 def test_grid_rejects_a_negative_seed_before_any_point_runs(monkeypatch):

@@ -2,10 +2,12 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from statealign import bench
 from statealign.cli import main
+from statealign.interventions import DEFAULT_METHOD_IDS
 
 SMALL = """\
 [stream]
@@ -211,6 +213,18 @@ def test_unwritable_output_exits_2(capsys, small_cfg, tmp_path):
     assert "runtime error" in capsys.readouterr().err
 
 
+def test_a_run_that_overflows_reports_nan_auc_and_no_exact_recovery(capsys, tmp_path):
+    path = tmp_path / "exp.ini"
+    path.write_text(
+        "[stream]\ndimension = 6\nlength = 60\ndeletion_time = 30\nhorizon = 20\n"
+        "condition_number = 1e300\nmu = 1\n\n[experiment]\ncontraction_trials = 0\n"
+    )
+    with np.errstate(all="ignore"):
+        assert main(["exp2", "--config", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [f"{m}: future_state_auc=nan exact_recovery=false" for m in DEFAULT_METHOD_IDS]
+
+
 def test_exp2_writes_results_and_traces(capsys, small_cfg, tmp_path):
     out = tmp_path / "runs"
     code = main(["exp2", "--config", str(small_cfg), "--out", str(out)])
@@ -279,6 +293,16 @@ def test_grid_writes_per_point_rows_and_summary(capsys, tmp_path):
     assert "oracle: median_auc=0.0 exact_recovery_rate=1.0" in stdout
 
 
+@pytest.mark.parametrize("workers", ["0", "-5"])
+def test_grid_workers_below_one_exits_1(capsys, tmp_path, workers):
+    cfg = tmp_path / "grid.ini"
+    cfg.write_text(SMALL + "\n[grid]\ntau = 3, 5\n")
+    assert main(["grid", "--config", str(cfg), "--workers", workers]) == 1
+    captured = capsys.readouterr()
+    assert f"config error: workers must be >= 1, got {workers}" in captured.err
+    assert "median_auc" not in captured.out
+
+
 def test_grid_worker_count_does_not_change_results(tmp_path):
     cfg = tmp_path / "grid.ini"
     cfg.write_text(GRID)
@@ -300,6 +324,15 @@ def test_gen_stream_then_inspect_roundtrip(capsys, small_cfg, tmp_path):
     assert "seed=3" in out
     assert "dimension=6" in out
     assert "events 60" in out
+
+
+@pytest.mark.parametrize("flag, seed", [([], "5"), (["--seed", "3"], "3")])
+def test_gen_stream_takes_the_config_seed_unless_overridden(capsys, tmp_path, flag, seed):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(SMALL.replace("seeds = 7", "seeds = 5"))
+    stream_path = tmp_path / "stream.txt"
+    assert main(["gen-stream", "--config", str(cfg), *flag, "--out", str(stream_path)]) == 0
+    assert stream_path.read_text().splitlines()[0] == f"# statealign-stream v1 seed={seed}"
 
 
 def test_inspect_applies_one_intervention(capsys, small_cfg):

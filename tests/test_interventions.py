@@ -1,5 +1,8 @@
 """Deletion-handling strategies measured against full counterfactual replay."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,6 @@ from statealign.errors import InvalidConfig
 from statealign.interventions import (
     DEFAULT_METHOD_IDS,
     InterventionContext,
-    InterventionKind,
     apply,
     parse_intervention,
 )
@@ -43,25 +45,31 @@ def make_context(seed=0, mode=DeletionMode.RECENT):
 
 def test_parse_covers_all_shipped_method_ids():
     for mid in DEFAULT_METHOD_IDS:
-        spec = parse_intervention(mid, tau=10)
+        spec = parse_intervention(mid)
         assert spec.label == mid
-    assert parse_intervention("window_tau", tau=10).window == 10
-    assert parse_intervention("window_5tau", tau=10).window == 50
-    assert parse_intervention("window:33", tau=10).window == 33
+
+
+def test_window_ids_replay_the_last_tau_5tau_and_n_edited_events():
+    _, prefix, ctx = make_context(mode=DeletionMode.RANDOM)
+    counts = {}
+    for mid, n in (("window_tau", CFG.tau), ("window_5tau", 5 * CFG.tau), ("window:33", 33)):
+        counts[mid] = apply(parse_intervention(mid), ctx).cost.replayed_events
+        assert counts[mid] == len(edit_history(prefix[-n:], ctx.deletions))
+    assert len(set(counts.values())) == 3
 
 
 def test_parse_rejects_unknown_ids():
     with pytest.raises(InvalidConfig):
-        parse_intervention("teleport", tau=10)
+        parse_intervention("teleport")
     with pytest.raises(InvalidConfig):
-        parse_intervention("window:0", tau=10)
+        parse_intervention("window:0")
 
 
 def test_oracle_equals_replay_of_edited_prefix():
     strm, prefix, ctx = make_context()
     edited = edit_history(prefix, ctx.deletions)
     expected = replay(initial_state(6, CFG), edited, CFG)
-    out = apply(parse_intervention("oracle", tau=5), ctx)
+    out = apply(parse_intervention("oracle"), ctx)
     np.testing.assert_array_equal(out.state.w, expected.w)
     assert out.cost.replayed_events == len(edited)
 
@@ -69,7 +77,7 @@ def test_oracle_equals_replay_of_edited_prefix():
 def test_noop_and_retain_ft_return_unchanged_parameters():
     _, _, ctx = make_context()
     for mid in ("noop", "retain_ft"):
-        out = apply(parse_intervention(mid, tau=5), ctx)
+        out = apply(parse_intervention(mid), ctx)
         np.testing.assert_array_equal(out.state.w, ctx.actual.w)
         assert len(out.state.memory.pairs) == len(ctx.actual.memory.pairs)
         assert out.cost.replayed_events == 0
@@ -80,7 +88,7 @@ def test_noop_and_retain_ft_return_unchanged_parameters():
 
 def test_mem_reset_clears_memory_and_keeps_parameters():
     _, _, ctx = make_context()
-    out = apply(parse_intervention("mem_reset", tau=5), ctx)
+    out = apply(parse_intervention("mem_reset"), ctx)
     np.testing.assert_array_equal(out.state.w, ctx.actual.w)
     assert out.state.memory.pairs == type(out.state.memory.pairs)()
     assert len(out.state.memory.pairs) == 0
@@ -90,7 +98,7 @@ def test_pair_drop_removes_exactly_contaminated_pairs():
     _, _, ctx = make_context()
     banned = ctx.deletions.indices
     before = list(ctx.actual.memory.pairs)
-    out = apply(parse_intervention("pair_drop", tau=5), ctx)
+    out = apply(parse_intervention("pair_drop"), ctx)
     kept = list(out.state.memory.pairs)
     assert all(p.source not in banned for p in kept)
     expected_kept = [p for p in before if p.source not in banned]
@@ -102,15 +110,15 @@ def test_pair_drop_removes_exactly_contaminated_pairs():
 
 def test_drop_refill_restarts_parameters_and_memory():
     _, _, ctx = make_context()
-    out = apply(parse_intervention("drop_refill", tau=5), ctx)
+    out = apply(parse_intervention("drop_refill"), ctx)
     np.testing.assert_array_equal(out.state.w, ctx.theta0.w)
     assert len(out.state.memory.pairs) == 0
 
 
 def test_window_replay_with_full_coverage_matches_oracle_bitwise():
     strm, prefix, ctx = make_context()
-    oracle = apply(parse_intervention("oracle", tau=5), ctx)
-    window = apply(parse_intervention("window:40", tau=5), ctx)
+    oracle = apply(parse_intervention("oracle"), ctx)
+    window = apply(parse_intervention("window:40"), ctx)
     np.testing.assert_array_equal(window.state.w, oracle.state.w)
     assert len(window.state.memory.pairs) == len(oracle.state.memory.pairs)
     for p, q in zip(window.state.memory.pairs, oracle.state.memory.pairs):
@@ -120,8 +128,8 @@ def test_window_replay_with_full_coverage_matches_oracle_bitwise():
 
 def test_window_replay_shorter_window_differs_from_oracle():
     strm, prefix, ctx = make_context()
-    oracle = apply(parse_intervention("oracle", tau=5), ctx)
-    short = apply(parse_intervention("window:10", tau=5), ctx)
+    oracle = apply(parse_intervention("oracle"), ctx)
+    short = apply(parse_intervention("window:10"), ctx)
     assert not np.array_equal(short.state.w, oracle.state.w)
     assert short.cost.replayed_events <= 10
 
@@ -130,7 +138,7 @@ def test_param_only_applies_damped_newton_removal():
     from statealign.stream import loss_and_grad, loss_hessian
 
     strm, prefix, ctx = make_context(seed=3)
-    out = apply(parse_intervention("param_only", tau=5), ctx)
+    out = apply(parse_intervention("param_only"), ctx)
 
     w = ctx.actual.w
     deleted = [e for e in prefix if e.index in ctx.deletions.indices]
@@ -153,13 +161,15 @@ def test_param_only_applies_damped_newton_removal():
 def test_all_methods_map_the_counterfactual_future():
     _, _, ctx = make_context()
     for mid in DEFAULT_METHOD_IDS:
-        out = apply(parse_intervention(mid, tau=5), ctx)
+        out = apply(parse_intervention(mid), ctx)
         assert out.cost.wall_clock_seconds >= 0.0
         assert out.label == mid
 
 
-def test_kind_enum_covers_method_ids():
-    kinds = {parse_intervention(mid, tau=4).kind for mid in DEFAULT_METHOD_IDS}
-    assert InterventionKind.ORACLE_REPLAY in kinds
-    assert InterventionKind.WINDOW_REPLAY in kinds
-    assert len(kinds) == 7  # window_tau and window_5tau share a kind, retain_ft is noop
+def test_readme_method_ids_are_the_method_table():
+    """README's "Method ids" bullets name each row of the table, plus window:<n>."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("\n## Method ids\n", 1)[1].split("\n## ", 1)[0]
+    heads = re.findall(r"^- ((?:`[^`]+`(?: / )?)+):", section, re.M)
+    named = [mid for head in heads for mid in re.findall(r"`([^`]+)`", head)]
+    assert sorted(named) == sorted(DEFAULT_METHOD_IDS + ("window:<n>",))
