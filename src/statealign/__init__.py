@@ -39,9 +39,9 @@ from .metrics import (
     direct_clearance_time,
     fit_decay_rate,
     make_probes,
-    memory_operator_error,
     param_error,
     state_error,
+    state_gaps,
 )
 from .olbfgs import (
     CurvaturePair,

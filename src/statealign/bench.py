@@ -37,7 +37,6 @@ from .olbfgs import (
     initial_state,
     replay,
     state_key,
-    two_loop,
 )
 from .stream import (
     DeletionSet,
@@ -92,8 +91,13 @@ class ExperimentConfig:
             raise InvalidConfig("privacy_epsilon must be > 0")
         if not 0 < self.privacy_delta < 1:
             raise InvalidConfig("privacy_delta must lie in (0, 1)")
-        for method_id in self.interventions:
+        if not self.interventions:
+            raise InvalidConfig("interventions names no method")
+        for i, method_id in enumerate(self.interventions):
             parse_intervention(method_id)
+            # Each method's row and trace file are keyed by its id.
+            if method_id in self.interventions[:i]:
+                raise InvalidConfig(f"interventions repeats {method_id}")
 
 
 def experiment1_defaults() -> ExperimentConfig:
@@ -202,9 +206,10 @@ def _propagate_lanes(
     one trace. Every lane, lane 0 included, is measured against lane 0,
     so a start state equal to the oracle gets exactly the trace its own
     propagation would give.
-    The lanes step together in one LaneBank, with the bits that
-    `advance` and `two_loop` give lane by lane. Returns one trace per
-    start state, in order.
+    The lanes step together in one LaneBank and are measured together by
+    `metrics.state_gaps` and `metrics.direction_gap`, with the bits that
+    `advance`, `two_loop` and the metrics give lane by lane. Returns one
+    trace per start state, in order.
     """
     keys = [state_key(st) for st in (oracle0, *starts)]
     by_key = dict(zip(keys, (oracle0, *starts)))
@@ -219,22 +224,11 @@ def _propagate_lanes(
     loss = np.full((n, h + 1), np.nan)
 
     for k in range(h + 1):
-        actions = two_loop(bank, probes)
-        for i in range(n):
-            e_w = metrics.param_error(bank.w[i], bank.w[0])
-            e_z = metrics.operator_action_error(actions[i], actions[0])
-            param[i, k] = e_w
-            memory[i, k] = e_z
-            state[i, k] = metrics.state_error(e_w, e_z, memory_weight)
+        param[:, k], memory[:, k], state[:, k] = metrics.state_gaps(bank, probes, memory_weight)
         mass[:, k] = bank.direct_mass(deletions)
         if k < h:
-            losses, directions = bank.move(future[k], cfg)
-            for i in range(n):
-                try:
-                    direction[i, k] = metrics.direction_gap(directions[i], directions[0])
-                except metrics.DegenerateDirection:
-                    pass
-            loss[:, k] = losses
+            loss[:, k], directions = bank.move(future[k], cfg)
+            direction[:, k] = metrics.direction_gap(directions, directions[0])
     traces = {
         key: MetricTrace(
             param_err=param[i],
@@ -544,6 +538,13 @@ SUMMARY_COLUMNS = (
 )
 
 
+def _nanmedian(values: list[float]) -> float:
+    """np.nanmedian, but nan for an empty or all-nan list, without a warning."""
+    arr = np.array(values, dtype=float)
+    arr = arr[~np.isnan(arr)]
+    return float(np.median(arr)) if arr.size else float("nan")
+
+
 def aggregate(results: list[RunResult]) -> list[dict]:
     """Per-method summary over matched configurations."""
     if not results:
@@ -554,15 +555,17 @@ def aggregate(results: list[RunResult]) -> list[dict]:
             if row.method not in methods:
                 methods.append(row.method)
 
+    # Only finite AUCs are ranked: a diverged row is never best, and a run
+    # with no finite non-oracle AUC is not comparable.
     best_counts = {m: 0 for m in methods}
     comparable = 0
     for res in results:
-        non_oracle = [r for r in res.methods if r.method != "oracle"]
-        if not non_oracle:
+        ranked = [r for r in res.methods if r.method != "oracle" and np.isfinite(r.future_state_auc)]
+        if not ranked:
             continue
         comparable += 1
-        best = min(r.future_state_auc for r in non_oracle)
-        for r in non_oracle:
+        best = min(r.future_state_auc for r in ranked)
+        for r in ranked:
             if r.future_state_auc == best:
                 best_counts[r.method] += 1
 
@@ -570,7 +573,6 @@ def aggregate(results: list[RunResult]) -> list[dict]:
     for m in methods:
         rows = [res.method_row(m) for res in results if any(r.method == m for r in res.methods)]
         aucs = np.array([r.future_state_auc for r in rows])
-        ratios = np.array([r.auc_ratio_vs_noop for r in rows])
         noop_pairs = [
             (res.method_row(m).future_state_auc, res.method_row("noop").future_state_auc)
             for res in results
@@ -580,8 +582,6 @@ def aggregate(results: list[RunResult]) -> list[dict]:
         share_better = (
             sum(1 for a, b in noop_pairs if a < b) / len(noop_pairs) if noop_pairs else float("nan")
         )
-        with np.errstate(all="ignore"):
-            median_ratio = float(np.nanmedian(ratios)) if ratios.size else float("nan")
         out.append(
             {
                 "method": m,
@@ -590,13 +590,13 @@ def aggregate(results: list[RunResult]) -> list[dict]:
                 "mean_future_state_auc": float(np.mean(aucs)),
                 "median_initial_state_err": float(np.median([r.initial_state_err for r in rows])),
                 "median_final_state_err": float(np.median([r.final_state_err for r in rows])),
-                "median_auc_ratio_vs_noop": median_ratio,
+                "median_auc_ratio_vs_noop": _nanmedian([r.auc_ratio_vs_noop for r in rows]),
                 "share_better_than_noop": share_better,
                 "exact_recovery_rate": sum(r.exact_recovery for r in rows) / len(rows),
                 "best_non_oracle_share": (
                     best_counts[m] / comparable if comparable and m != "oracle" else float("nan")
                 ),
-                "median_avg_future_loss": float(np.nanmedian([r.avg_future_loss for r in rows])),
+                "median_avg_future_loss": _nanmedian([r.avg_future_loss for r in rows]),
                 "mean_replayed_events": float(np.mean([r.replayed_events for r in rows])),
             }
         )

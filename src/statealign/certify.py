@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfig, InvalidPrivacyParams, InvalidRho, LengthMismatch
-from .metrics import memory_operator_error, param_error, state_error
-from .olbfgs import CurvaturePair, OptimizerState, StepConfig, initial_state, step
+from .metrics import state_gaps
+from .olbfgs import CurvaturePair, LaneBank, OptimizerState, StepConfig, initial_state, step
 from .stream import Event
 
 # Size of the contraction trials' perturbation, relative to max(1, ||w||).
@@ -154,8 +154,9 @@ def contraction_ratios(
 
     Each trial perturbs the state reached after a sampled number of events
     and steps both copies with the next event; the ratio is the combined
-    state error after over before, its memory term measured on the
-    (d, count) probe matrix, which also fixes the dimension d.
+    state error (`metrics.state_gaps` on a two-lane bank) after over
+    before, its memory term measured on the (d, count) probe matrix, which
+    also fixes the dimension d.
     """
     if not history:
         raise InvalidConfig("contraction estimation needs at least one event")
@@ -172,24 +173,15 @@ def contraction_ratios(
         while consumed < pos:
             state = step(state, history[consumed], cfg)
             consumed += 1
-        probe_event = history[pos]
-        base = state.clone()
-        pert = _perturbed_copy(state, rng, perturb_memory)
-        before = state_error(
-            param_error(base.w, pert.w),
-            memory_operator_error(base.memory, pert.memory, probes),
-            memory_weight,
-        )
+        pair = [state, _perturbed_copy(state, rng, perturb_memory)]
+        # E_theta of the perturbed lane against the base lane.
+        before = state_gaps(LaneBank(pair), probes, memory_weight)[2][1]
         if before == 0.0:
             continue
-        base_next = step(base, probe_event, cfg)
-        pert_next = step(pert, probe_event, cfg)
-        after = state_error(
-            param_error(base_next.w, pert_next.w),
-            memory_operator_error(base_next.memory, pert_next.memory, probes),
-            memory_weight,
-        )
-        ratios.append(after / before)
+        after = state_gaps(
+            LaneBank([step(st, history[pos], cfg) for st in pair]), probes, memory_weight
+        )[2][1]
+        ratios.append(float(after / before))
     if not ratios:
         raise InvalidConfig("all contraction trials were degenerate")
     return ratios

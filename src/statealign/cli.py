@@ -8,8 +8,9 @@ Subcommands:
     bench certify     calibrate the Gaussian noise level for a deviation
     bench inspect     summarize a stream or apply one intervention
 
-Exit codes: 0 success, 1 configuration error, 2 runtime failure. Result
-files are written atomically (temp file, then rename).
+Exit codes: 0 success, 1 configuration error, 2 runtime failure (any
+error that is not a configuration error, reported in one stderr line).
+Result files are written atomically (temp file, then rename).
 """
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ import numpy as np
 from . import bench, certify, configio, metrics
 from .errors import InvalidConfig, StateAlignError
 from .interventions import apply as apply_intervention, parse_intervention
+from .olbfgs import LaneBank
 from .stream import generate_stream, read_stream, write_stream
 
 EXIT_OK = 0
@@ -174,11 +176,10 @@ def _cmd_inspect(args) -> int:
     if args.intervention:
         intervened = apply_intervention(parse_intervention(args.intervention), ctx)
         probes = metrics.make_probes(cfg.stream.dimension, cfg.probe_count, seed)
-        e_w = metrics.param_error(intervened.state.w, oracle.w)
-        e_z = metrics.memory_operator_error(intervened.state.memory, oracle.memory, probes)
+        gaps = metrics.state_gaps(LaneBank([oracle, intervened.state]), probes, cfg.memory_weight)
+        e_w, e_z, e_theta = (float(e[1]) for e in gaps)
         print(
-            f"{intervened.label}: param_err={e_w!r} mem_err={e_z!r} "
-            f"state_err={metrics.state_error(e_w, e_z, cfg.memory_weight)!r} "
+            f"{intervened.label}: param_err={e_w!r} mem_err={e_z!r} state_err={e_theta!r} "
             f"replayed={intervened.cost.replayed_events}"
         )
     return EXIT_OK
@@ -205,11 +206,12 @@ def main(argv: list[str] | None = None) -> int:
     except InvalidConfig as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except StateAlignError as exc:
+    except (StateAlignError, OSError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    except OSError as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        # Any other failure is a fault of the run, not of its configuration.
+        print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

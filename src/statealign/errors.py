@@ -27,10 +27,6 @@ class MissingGradState(StateAlignError):
     """Gradient-ranked deletion needs the parameter vector at t_del."""
 
 
-class DegenerateDirection(StateAlignError):
-    """An update direction is too close to zero to compare angles."""
-
-
 class EmptyTrace(StateAlignError):
     """A metric over a trace was asked for on an empty trace."""
 

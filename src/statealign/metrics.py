@@ -2,25 +2,20 @@
 
 State discrepancy combines a parameter term ||w_a - w_b|| with a memory
 term measured through the action of each memory's two-loop operator on a
-fixed set of unit probes. Traces of the combined error over a
-post-deletion horizon are summarized by their area (plain sum) and by a
-log-linear decay fit.
+fixed set of unit probes. The distances act on stacked lanes (leading
+axes broadcast), each lane with the bits of its own 1-D computation, and
+`state_gaps` measures every lane of a LaneBank against lane 0. Traces of
+the combined error over a post-deletion horizon are summarized by their
+area (plain sum) and by a log-linear decay fit.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateDirection,
-    DimensionMismatch,
-    EmptyTrace,
-    IntervalTooShort,
-    InvalidConfig,
-)
-from .olbfgs import MemoryState, two_loop
+from .errors import DimensionMismatch, EmptyTrace, IntervalTooShort, InvalidConfig
+from .olbfgs import LaneBank, dots, two_loop
 
 DIRECTION_EPS = 1e-14
 FIT_FLOOR = 1e-15
@@ -37,35 +32,44 @@ def make_probes(dimension: int, count: int, seed: int) -> np.ndarray:
     return vecs
 
 
-def param_error(w_a: np.ndarray, w_b: np.ndarray) -> float:
-    if w_a.shape != w_b.shape:
-        raise DimensionMismatch("parameter vectors differ in shape")
-    return float(np.linalg.norm(w_a - w_b))
+def param_error(w_a: np.ndarray, w_b: np.ndarray) -> np.ndarray:
+    """Euclidean distance over the last axis."""
+    if w_a.shape[-1] != w_b.shape[-1]:
+        raise DimensionMismatch("parameter vectors differ in dimension")
+    diff = w_a - w_b
+    return np.sqrt(dots(diff, diff))
 
 
-def operator_action_error(action_a: np.ndarray, action_b: np.ndarray) -> float:
-    """RMS over probe columns of the Euclidean action gap."""
+def operator_action_error(action_a: np.ndarray, action_b: np.ndarray) -> np.ndarray:
+    """RMS over the probe columns (last axis) of the Euclidean action gap."""
     diff = action_a - action_b
-    return math.sqrt(float(np.mean(np.sum(diff * diff, axis=0))))
+    return np.sqrt(np.mean(np.sum(diff * diff, axis=-2), axis=-1))
 
 
-def memory_operator_error(mem_a: MemoryState, mem_b: MemoryState, probes: np.ndarray) -> float:
-    return operator_action_error(two_loop(mem_a, probes), two_loop(mem_b, probes))
-
-
-def state_error(param_err: float, memory_err: float, memory_weight: float = 1.0) -> float:
+def state_error(param_err, memory_err, memory_weight: float = 1.0):
     return param_err + memory_weight * memory_err
 
 
-def direction_gap(d_a: np.ndarray, d_b: np.ndarray) -> float:
-    """1 - cos(d_a, d_b); raises when either direction is degenerate."""
-    n_a = float(np.linalg.norm(d_a))
-    n_b = float(np.linalg.norm(d_b))
-    if n_a < DIRECTION_EPS or n_b < DIRECTION_EPS:
-        raise DegenerateDirection("update direction norm below 1e-14")
-    if np.array_equal(d_a, d_b):
-        return 0.0
-    return 1.0 - float(d_a @ d_b) / (n_a * n_b)
+def state_gaps(bank: LaneBank, probes: np.ndarray, memory_weight: float) -> tuple[np.ndarray, ...]:
+    """(E_w, E_Z, E_theta) of every lane against lane 0, each (lanes,); E_Z acts on the probes."""
+    actions = two_loop(bank, probes)
+    e_w = param_error(bank.w, bank.w[0])
+    e_z = operator_action_error(actions, actions[0])
+    return e_w, e_z, state_error(e_w, e_z, memory_weight)
+
+
+def direction_gap(d_a: np.ndarray, d_b: np.ndarray) -> np.ndarray:
+    """1 - cos(d_a, d_b) over the last axis.
+
+    Exactly 0.0 where the two are equal, nan where either norm is below
+    DIRECTION_EPS (a degenerate direction has no angle).
+    """
+    n_a = np.sqrt(dots(d_a, d_a))
+    n_b = np.sqrt(dots(d_b, d_b))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gap = 1.0 - dots(d_a, d_b) / (n_a * n_b)
+    gap = np.where(np.all(d_a == d_b, axis=-1), 0.0, gap)
+    return np.where((n_a < DIRECTION_EPS) | (n_b < DIRECTION_EPS), np.nan, gap)
 
 
 def auc(values: np.ndarray | list[float]) -> float:

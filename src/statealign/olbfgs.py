@@ -115,16 +115,26 @@ def initial_state(dimension: int, cfg: StepConfig) -> OptimizerState:
     return OptimizerState(w=np.zeros(dimension), memory=MemoryState(tau=cfg.tau))
 
 
+def dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products over the last axis, leading axes broadcast: shape (...).
+
+    Each is a stacked (1, d) @ (d, 1) matmul, which numpy takes through the
+    same BLAS dot as a 1-D `a @ b`, so every entry has that product's bits.
+    """
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 class LaneBank:
     """Optimizer states stepped together, one lane each.
 
     `w` is (lanes, d). S and Y are (lanes, tau, d) rings, right-aligned: a
     lane holding n pairs keeps them oldest first in its last n slots, and
     every empty slot holds zero vectors with rho = 0. rho and gamma (1 on
-    an empty lane) are cached at push time with the expressions `two_loop`
-    evaluates, so the batched recursion gives every lane its scalar result
-    bit for bit. `src` is the (lanes, tau) ring of each pair's source event
-    index, -1 in empty slots. len(bank) is the deepest lane's pair count.
+    an empty lane) are cached at push time from `dots`, with the bits of
+    the products `two_loop` evaluates, so the batched recursion gives
+    every lane its scalar result bit for bit. `src` is the (lanes, tau)
+    ring of each pair's source event index, -1 in empty slots. len(bank)
+    is the deepest lane's pair count.
     """
 
     def __init__(self, states: list[OptimizerState]) -> None:
@@ -141,23 +151,21 @@ class LaneBank:
         self.depth = np.zeros(m, dtype=np.int64)
         for i, st in enumerate(states):
             for p in st.memory.pairs:
-                self._push(np.array([i]), p.s[None, :], p.y[None, :], [float(p.s @ p.y)], p.source)
+                self._push(np.array([i]), p.s[None, :], p.y[None, :], dots(p.s, p.y), p.source)
 
     def __len__(self) -> int:
         return int(self.depth.max())
 
-    def _push(self, lanes: np.ndarray, s: np.ndarray, y: np.ndarray, sy: list[float], source: int) -> None:
+    def _push(self, lanes: np.ndarray, s: np.ndarray, y: np.ndarray, sy: np.ndarray, source: int) -> None:
         """Append pair k = (s[k], y[k]), with s'y = sy[k], as the newest of lane lanes[k].
 
         Every pair pushed in one call comes from event index `source`. A
         full lane evicts its oldest pair.
         """
-        rho = 1.0 / np.array(sy)
-        for ring, new in ((self.S, s), (self.Y, y), (self.rho, rho), (self.src, source)):
+        for ring, new in ((self.S, s), (self.Y, y), (self.rho, 1.0 / sy), (self.src, source)):
             ring[lanes, :-1] = ring[lanes, 1:]
             ring[lanes, -1] = new
-        for k, i in enumerate(lanes):
-            self.gamma[i] = sy[k] / float(y[k] @ y[k])
+        self.gamma[lanes] = sy / dots(y, y)
         self.depth[lanes] = np.minimum(self.depth[lanes] + 1, self.tau)
 
     def direct_mass(self, deletions: DeletionSet) -> np.ndarray:
@@ -179,10 +187,10 @@ class LaneBank:
         g_next = np.array([loss_and_grad(event.payload, wi)[1] for wi in w_next])
         s = w_next - w
         y = g_next - g
-        sy = [float(si @ yi) for si, yi in zip(s, y)]
-        accepted = np.flatnonzero([v > cfg.curvature_eps for v in sy])
+        sy = dots(s, y)
+        accepted = np.flatnonzero(sy > cfg.curvature_eps)
         if accepted.size:
-            self._push(accepted, s[accepted], y[accepted], [sy[i] for i in accepted], event.index)
+            self._push(accepted, s[accepted], y[accepted], sy[accepted], event.index)
         self.w = w_next
         return list(losses), direction
 

@@ -2,6 +2,7 @@
 
 import copy
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -175,13 +176,13 @@ def test_oracle_intervention_reproduces_the_oracle_state_bit_for_bit():
 
 def test_identical_start_states_share_one_propagation(monkeypatch):
     lanes = []
-    real_two_loop = bench.two_loop
+    real_two_loop = metrics.two_loop
 
     def counting_two_loop(memory, q):
         lanes.append(memory.w.shape[0])
         return real_two_loop(memory, q)
 
-    monkeypatch.setattr(bench, "two_loop", counting_two_loop)
+    monkeypatch.setattr(metrics, "two_loop", counting_two_loop)
     cfg = small_config(interventions=("oracle", "noop", "retain_ft"))
     res = run_experiment2(cfg)
     assert lanes == [2] * (cfg.stream.horizon + 1)
@@ -190,7 +191,11 @@ def test_identical_start_states_share_one_propagation(monkeypatch):
 
 
 def reference_propagation(oracle0, starts, future, cfg, probes, memory_weight, deletions):
-    """_propagate_lanes before the lane bank: scalar two_loop and advance, lane by lane."""
+    """_propagate_lanes before the lane bank: scalar two_loop and advance, lane by lane.
+
+    The distances are written out per lane with np.linalg.norm and 1-D `@`,
+    so the comparison does not go through the stacked metric functions.
+    """
     keys = [state_key(st) for st in (oracle0, *starts)]
     by_key = dict(zip(keys, (oracle0, *starts)))
     lanes = list(by_key.values())
@@ -206,21 +211,26 @@ def reference_propagation(oracle0, starts, future, cfg, probes, memory_weight, d
     for k in range(h + 1):
         actions = [two_loop(st.memory, probes) for st in lanes]
         for i, st in enumerate(lanes):
-            e_w = metrics.param_error(st.w, lanes[0].w)
-            e_z = metrics.operator_action_error(actions[i], actions[0])
+            e_w = float(np.linalg.norm(st.w - lanes[0].w))
+            diff = actions[i] - actions[0]
+            e_z = math.sqrt(float(np.mean(np.sum(diff * diff, axis=0))))
             param[i, k] = e_w
             memory[i, k] = e_z
-            state[i, k] = metrics.state_error(e_w, e_z, memory_weight)
+            state[i, k] = e_w + memory_weight * e_z
             mass[i, k] = direct_memory_mass(st.memory, deletions)
         if k < h:
             steps = [advance(st, future[k], cfg) for st in lanes]
             lanes = [st for st, _ in steps]
-            ref_direction = steps[0][1].direction
+            ref = steps[0][1].direction
             for i, (_, info) in enumerate(steps):
-                try:
-                    direction[i, k] = metrics.direction_gap(info.direction, ref_direction)
-                except metrics.DegenerateDirection:
-                    pass
+                d_i = info.direction
+                n_i, n_ref = float(np.linalg.norm(d_i)), float(np.linalg.norm(ref))
+                if n_i < metrics.DIRECTION_EPS or n_ref < metrics.DIRECTION_EPS:
+                    pass  # a degenerate direction has no angle: nan
+                elif np.array_equal(d_i, ref):
+                    direction[i, k] = 0.0
+                else:
+                    direction[i, k] = 1.0 - float(d_i @ ref) / (n_i * n_ref)
                 loss[i, k] = info.loss
     traces = {
         key: MetricTrace(
@@ -492,6 +502,20 @@ def test_aggregate_matches_hand_computed_summary():
     assert summary["noop"]["best_non_oracle_share"] == 0.5
     assert math.isnan(summary["oracle"]["best_non_oracle_share"])
     assert summary["fix"]["mean_replayed_events"] == 4.0
+
+
+@pytest.mark.parametrize("order", [1, -1])
+def test_aggregate_ranks_finite_aucs_only_in_either_row_order(order):
+    nan = float("nan")
+    diverged = _run([_method_row("noop", nan, nan), _method_row("param_only", 1.0, nan)][::order])
+    all_diverged = _run([_method_row("noop", nan, nan), _method_row("param_only", math.inf, nan)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        summary = {row["method"]: row for row in aggregate([diverged, all_diverged])}
+    # The second run has no finite non-oracle AUC, so only the first is comparable.
+    assert summary["param_only"]["best_non_oracle_share"] == 1.0
+    assert summary["noop"]["best_non_oracle_share"] == 0.0
+    assert math.isnan(summary["param_only"]["median_auc_ratio_vs_noop"])
 
 
 def test_aggregate_rejects_empty_input():

@@ -213,6 +213,35 @@ def test_unwritable_output_exits_2(capsys, small_cfg, tmp_path):
     assert "runtime error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "interventions, message",
+    [
+        ("noop, noop", "interventions repeats noop"),
+        ("oracle, window:3, noop, window:3", "interventions repeats window:3"),
+        ("", "interventions names no method"),
+    ],
+)
+def test_repeated_or_missing_intervention_ids_exit_1(capsys, tmp_path, interventions, message):
+    path = tmp_path / "exp.ini"
+    path.write_text(SMALL.replace("interventions = oracle, noop", f"interventions = {interventions}"))
+    assert main(["exp2", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_unexpected_failure_is_one_runtime_error_line_and_exit_2(capsys, tmp_path):
+    """A logistic stream this ill-conditioned fails in numpy's Cholesky factorization."""
+    path = tmp_path / "exp.ini"
+    path.write_text(
+        "[stream]\nregime = logistic\ndimension = 6\nlength = 60\ndeletion_time = 30\n"
+        "horizon = 20\ncondition_number = 1e300\n\n[experiment]\ncontraction_trials = 0\n"
+    )
+    assert main(["exp2", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "runtime error: LinAlgError: Matrix is not positive definite\n"
+    assert captured.out == ""
+
+
 def test_a_run_that_overflows_reports_nan_auc_and_no_exact_recovery(capsys, tmp_path):
     path = tmp_path / "exp.ini"
     path.write_text(

@@ -7,20 +7,21 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from statealign.errors import DegenerateDirection, EmptyTrace, IntervalTooShort
+from statealign.errors import EmptyTrace, IntervalTooShort
 from statealign.metrics import (
+    DIRECTION_EPS,
     DecayFit,
     auc,
     direct_clearance_time,
     direction_gap,
     fit_decay_rate,
     make_probes,
-    memory_operator_error,
     operator_action_error,
     param_error,
     state_error,
+    state_gaps,
 )
-from statealign.olbfgs import CurvaturePair, MemoryState, two_loop
+from statealign.olbfgs import CurvaturePair, LaneBank, MemoryState, OptimizerState, two_loop
 
 
 def test_param_error_is_euclidean_distance():
@@ -42,18 +43,23 @@ def test_state_error_combines_with_weight():
     assert state_error(1.5, 2.0, memory_weight=0.0) == 1.5
 
 
-def test_memory_operator_error_agrees_with_manual_two_loop():
+def test_state_gaps_agree_with_manual_two_loop():
     rng = np.random.default_rng(0)
     mem_a = MemoryState(tau=4)
     mem_b = MemoryState(tau=4)
     s = rng.normal(size=3)
     mem_a.push(CurvaturePair(s=s, y=2.0 * s, source=1))
+    w_a, w_b = rng.normal(size=3), rng.normal(size=3)
+    lanes = [OptimizerState(w_b, mem_b), OptimizerState(w_a, mem_a), OptimizerState(w_b, mem_b)]
     probes = make_probes(3, 8, seed=5)
-    got = memory_operator_error(mem_a, mem_b, probes)
+    e_w, e_z, e_theta = state_gaps(LaneBank(lanes), probes, memory_weight=0.5)
     diffs = two_loop(mem_a, probes) - two_loop(mem_b, probes)
     want = float(np.sqrt(np.mean(np.sum(diffs * diffs, axis=0))))
-    assert got == pytest.approx(want, rel=1e-15)
-    assert memory_operator_error(mem_a, mem_a, probes) == 0.0
+    assert e_z[1] == pytest.approx(want, rel=1e-15)
+    assert e_w[1] == pytest.approx(float(np.linalg.norm(w_a - w_b)), rel=1e-15)
+    assert e_theta[1] == e_w[1] + 0.5 * e_z[1]
+    assert e_w.shape == e_z.shape == e_theta.shape == (3,)
+    assert e_theta[0] == e_theta[2] == 0.0
 
 
 def test_make_probes_unit_columns_and_determinism():
@@ -112,8 +118,56 @@ def test_direction_gap_values():
     assert direction_gap(a, a) == 0.0
     assert direction_gap(a, np.array([0.0, 1.0])) == pytest.approx(1.0)
     assert direction_gap(a, -a) == pytest.approx(2.0)
-    with pytest.raises(DegenerateDirection):
-        direction_gap(a, np.zeros(2))
+    assert np.isnan(direction_gap(a, np.zeros(2)))
+
+
+def same_bits(x, y) -> bool:
+    return np.float64(x).tobytes() == np.float64(y).tobytes()
+
+
+# Entries mix plain values with exact zeros, repeated values and inf/nan.
+_ENTRY = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.sampled_from([0.0, -0.0, 1.0, math.inf, -math.inf, math.nan, 1e-300, 1e300]),
+)
+
+
+@given(
+    st.integers(1, 6),
+    st.integers(1, 7),
+    st.integers(1, 5),
+    st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_stacked_metrics_equal_the_per_lane_forms_bit_for_bit(lanes, d, m, data):
+    """Each lane's stacked result is its 1-D np.linalg.norm / `@` result, bit for bit."""
+    rows = np.array(data.draw(st.lists(_ENTRY, min_size=lanes * d, max_size=lanes * d)))
+    w = rows.reshape(lanes, d)
+    # Some rows repeat lane 0 exactly; some are all zero.
+    for i in data.draw(st.lists(st.integers(0, lanes - 1), max_size=lanes)):
+        w[i] = w[0]
+    for i in data.draw(st.lists(st.integers(0, lanes - 1), max_size=2)):
+        w[i] = 0.0
+    actions = np.array(data.draw(st.lists(_ENTRY, min_size=lanes * d * m, max_size=lanes * d * m)))
+    actions = actions.reshape(lanes, d, m)
+    actions[lanes - 1] = actions[0]
+    with np.errstate(all="ignore"):
+        e_w = param_error(w, w[0])
+        e_z = operator_action_error(actions, actions[0])
+        gap = direction_gap(w, w[0])
+        for i in range(lanes):
+            assert same_bits(e_w[i], float(np.linalg.norm(w[i] - w[0])))
+            diff = actions[i] - actions[0]
+            assert same_bits(e_z[i], math.sqrt(float(np.mean(np.sum(diff * diff, axis=0)))))
+            n_a, n_b = float(np.linalg.norm(w[i])), float(np.linalg.norm(w[0]))
+            if n_a < DIRECTION_EPS or n_b < DIRECTION_EPS:
+                assert np.isnan(gap[i])
+            elif np.array_equal(w[i], w[0]):
+                assert same_bits(gap[i], 0.0)
+            else:
+                want = 1.0 - float(w[i] @ w[0]) / (n_a * n_b)
+                assert same_bits(gap[i], want) or (np.isnan(gap[i]) and math.isnan(want))
+    assert e_z[lanes - 1] == 0.0 or np.isnan(e_z[lanes - 1])
 
 
 # -- decay fit ----------------------------------------------------------------

@@ -71,6 +71,7 @@ def test_traced_grid_run_merges_every_hook_from_two_workers(tmp_path):
         "olbfgs.two_loop.probe",
         "olbfgs.two_loop.grad",
         "certify.step",
+        "metrics.direction_gap",
     ):
         assert stats.get(span, [0])[0] > 0, span
 
@@ -88,5 +89,10 @@ def test_traced_grid_without_contraction_trials_reports_every_layer_metric(tmp_p
     with mock.patch.dict(os.environ), mock.patch.dict(sys.modules, {spec.name: run}):
         spec.loader.exec_module(run)
     layer = run.layer_metrics(record["trace"], record["workers_merged"])
+    assert record["trace"]["missing"] == []
     assert [name for name, value in layer.items() if value is None] == []
+    # metrics.state_gaps applies the probes and metrics.direction_gap compares
+    # the directions once per step for all lanes: 2 points x (20 steps + 1).
     assert layer["olbfgs.two_loop.probe.calls"] == 2 * 21
+    assert layer["metrics.direction_gap.calls"] == 2 * 20
+    assert layer["metrics.direction_gap.degenerate"] == 0
