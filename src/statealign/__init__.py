@@ -44,11 +44,9 @@ from .metrics import (
     state_gaps,
 )
 from .olbfgs import (
-    CurvaturePair,
-    MemoryState,
     OptimizerState,
     StepConfig,
-    direct_memory_mass,
+    direct_mass,
     initial_state,
     replay,
     step,

@@ -14,8 +14,9 @@ import hashlib
 import itertools
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import Field, asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from enum import Enum
+from typing import get_type_hints
 
 import numpy as np
 
@@ -34,6 +35,7 @@ from .olbfgs import (
     LaneBank,
     OptimizerState,
     StepConfig,
+    direct_mass,
     initial_state,
     replay,
     state_key,
@@ -225,7 +227,7 @@ def _propagate_lanes(
 
     for k in range(h + 1):
         param[:, k], memory[:, k], state[:, k] = metrics.state_gaps(bank, probes, memory_weight)
-        mass[:, k] = bank.direct_mass(deletions)
+        mass[:, k] = direct_mass(bank, deletions)
         if k < h:
             loss[:, k], directions = bank.move(future[k], cfg)
             direction[:, k] = metrics.direction_gap(directions, directions[0])
@@ -436,13 +438,13 @@ def run_experiment2(cfg: ExperimentConfig, keep_traces: bool = True) -> RunResul
 GRID_AXIS_ALIASES = {"kappa": "condition_number", "t_del": "deletion_time"}
 
 
-def grid_axis_field(name: str) -> tuple[str, Field]:
-    """The ExperimentConfig part ("stream" or "optimizer") and field an axis sets."""
+def grid_axis_field(name: str) -> tuple[str, str, type]:
+    """The ExperimentConfig part ("stream" or "optimizer"), field and field type an axis sets."""
     target = GRID_AXIS_ALIASES.get(name, name)
     for part, cls in (("stream", StreamConfig), ("optimizer", StepConfig)):
-        for f in fields(cls):
-            if f.name == target:
-                return part, f
+        kinds = get_type_hints(cls)
+        if target in kinds:
+            return part, target, kinds[target]
     raise InvalidAxis(f"unknown grid axis {name!r}")
 
 
@@ -451,13 +453,13 @@ def _apply_axis(cfg: ExperimentConfig, name: str, value) -> ExperimentConfig:
         seeds = (int(value),)
         _check_seeds(seeds)
         return replace(cfg, seeds=seeds)
-    part, f = grid_axis_field(name)
-    if isinstance(f.default, Enum):
+    part, target, kind = grid_axis_field(name)
+    if issubclass(kind, Enum):
         try:
-            value = type(f.default)(value)
+            value = kind(value)
         except ValueError as exc:
             raise InvalidAxis(f"bad value {value!r} for grid axis {name!r}") from exc
-    return replace(cfg, **{part: replace(getattr(cfg, part), **{f.name: value})})
+    return replace(cfg, **{part: replace(getattr(cfg, part), **{target: value})})
 
 
 def derive_point_seed(base_seed: int, point: dict) -> int:
@@ -487,11 +489,9 @@ def grid_points(axes: dict[str, list]) -> list[dict]:
     return out
 
 
-def _grid_worker(args: tuple[ExperimentConfig, dict, int]) -> RunResult:
-    base, point, seed = args
-    cfg = base
-    for name, value in point.items():
-        cfg = _apply_axis(cfg, name, value)
+def _grid_worker(job: tuple[ExperimentConfig, int]) -> RunResult:
+    """One grid point: its config with the axes applied, and its seed."""
+    cfg, seed = job
     return _run_single(cfg, seed, tuple(cfg.interventions), keep_traces=False)
 
 
@@ -501,17 +501,21 @@ def run_grid(
     """Run every point of the axis product; results follow point order.
 
     Each point gets its own derived seed so results are independent of
-    worker count and completion order.
+    worker count and completion order. Every point's config is built and
+    validated before any point runs.
     """
     if workers < 1:
         raise InvalidConfig(f"workers must be >= 1, got {workers}")
     for name, values in axes.items():
         if not values:
             raise InvalidAxis(f"grid axis {name!r} has no values")
-        for value in values:
-            _apply_axis(base, name, value)
-    points = grid_points(axes)
-    jobs = [(base, p, derive_point_seed(base.seeds[0], p)) for p in points]
+    jobs = []
+    for point in grid_points(axes):
+        cfg = base
+        for name, value in point.items():
+            cfg = _apply_axis(cfg, name, value)
+        cfg.validate()
+        jobs.append((cfg, derive_point_seed(base.seeds[0], point)))
     if workers <= 1 or len(jobs) == 1:
         return [_grid_worker(j) for j in jobs]
     with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InvalidConfig, InvalidPrivacyParams, InvalidRho, LengthMismatch
 from .metrics import state_gaps
-from .olbfgs import CurvaturePair, LaneBank, OptimizerState, StepConfig, initial_state, step
+from .olbfgs import LaneBank, OptimizerState, StepConfig, initial_state, step
 from .stream import Event
 
 # Size of the contraction trials' perturbation, relative to max(1, ||w||).
@@ -126,18 +126,13 @@ def _perturbed_copy(
     u /= np.linalg.norm(u)
     delta = PERTURB_SCALE * max(1.0, float(np.linalg.norm(out.w)))
     out.w = out.w + delta * u
-    if perturb_memory and len(out.memory):
-        jittered = []
-        for p in out.memory.pairs:
-            js = p.s + delta * 1e-2 * rng.standard_normal(d)
-            jy = p.y + delta * 1e-2 * rng.standard_normal(d)
+    if perturb_memory:
+        # Oldest pair first, s before y; a pair whose jittered s'y is not > 0 stays as it was.
+        for j in np.flatnonzero(out.src >= 0):
+            js = out.S[j] + delta * 1e-2 * rng.standard_normal(d)
+            jy = out.Y[j] + delta * 1e-2 * rng.standard_normal(d)
             if float(js @ jy) > 0.0:
-                jittered.append(CurvaturePair(s=js, y=jy, source=p.source))
-            else:
-                jittered.append(p)
-        out.memory.clear()
-        for p in jittered:
-            out.memory.push(p)
+                out.S[j], out.Y[j] = js, jy
     return out
 
 

@@ -170,7 +170,7 @@ def _cmd_inspect(args) -> int:
     _, ctx, oracle = bench.prepare_run(cfg, seed)
     print(
         f"trained {len(ctx.full_prefix)} events: |w|={float(np.linalg.norm(ctx.actual.w))!r} "
-        f"pairs={len(ctx.actual.memory)}"
+        f"pairs={len(ctx.actual)}"
     )
     print(f"deletion set ({cfg.stream.deletion_mode.value}): {sorted(ctx.deletions.indices)}")
     if args.intervention:

@@ -9,50 +9,28 @@ axis values, e.g. `kappa = 3, 10, 30`.
 from __future__ import annotations
 
 import configparser
-import math
 from dataclasses import fields, is_dataclass, replace
 from enum import Enum
 from pathlib import Path
+from typing import get_type_hints
 
 from .bench import ExperimentConfig, grid_axis_field
 from .errors import InvalidAxis, InvalidConfig
 from .olbfgs import StepConfig
-from .stream import DeletionMode, Regime, StreamConfig
-
-_ENUM_TYPES = {cls.__name__: cls for cls in (Regime, DeletionMode)}
-
-
-def _coerce(raw: str, type_name: str, key: str):
-    """Parse one value by its field's annotation; tuples are comma lists."""
-    raw = raw.strip()
-    if type_name.startswith("tuple["):
-        item_type = type_name[len("tuple[") :].split(",")[0]
-        return tuple(_coerce(v, item_type, key) for v in raw.split(",") if v.strip())
-    try:
-        if type_name in _ENUM_TYPES:
-            return _ENUM_TYPES[type_name](raw)
-        if type_name == "int":
-            return int(raw)
-        if type_name == "float":
-            value = float(raw)
-            if not math.isfinite(value):
-                raise ValueError("not finite")
-            return value
-    except ValueError as exc:
-        raise InvalidConfig(f"bad value {raw!r} for {key}") from exc
-    return raw
+from .stream import StreamConfig, parse_value
 
 
 def _section_kwargs(parser: configparser.ConfigParser, section: str, cls) -> dict:
     if not parser.has_section(section):
         return {}
     # Nested configs (ExperimentConfig.stream, .optimizer) have their own sections.
-    known = {f.name: f.type for f in fields(cls) if not is_dataclass(f.default_factory)}
+    kinds = get_type_hints(cls)
+    known = {f.name: kinds[f.name] for f in fields(cls) if not is_dataclass(f.default_factory)}
     out = {}
     for key, raw in parser.items(section):
         if key not in known:
             raise InvalidConfig(f"unknown key {key!r} in [{section}]")
-        out[key] = _coerce(raw, known[key], key)
+        out[key] = parse_value(raw, known[key], key)
     return out
 
 
@@ -62,10 +40,10 @@ def load_grid_axes(path: str | Path) -> dict[str, list]:
     if parser.has_section("grid"):
         for key, raw in parser.items("grid"):
             try:
-                type_name = "int" if key == "seed" else grid_axis_field(key)[1].type
+                kind = int if key == "seed" else grid_axis_field(key)[2]
             except InvalidAxis as exc:
                 raise InvalidConfig(f"unknown key {key!r} in [grid]") from exc
-            values = [_coerce(v, type_name, key) for v in raw.split(",") if v.strip()]
+            values = parse_value(raw, tuple[kind, ...], key)
             if not values:
                 raise InvalidConfig(f"grid axis {key!r} has no values")
             # Enum axes keep their text: derive_point_seed hashes str(value).

@@ -62,10 +62,10 @@ def _unchanged(ctx: InterventionContext) -> Outcome:
     return ctx.actual.clone(), 0, 0
 
 
-def _drop_pairs(ctx: InterventionContext, predicate) -> Outcome:
-    """Keep the trained parameters; remove the stored pairs matching predicate."""
+def _keep_pairs(ctx: InterventionContext, keep: np.ndarray) -> Outcome:
+    """Keep the trained parameters and the stored pairs in the slots where `keep` holds."""
     state = ctx.actual.clone()
-    state.memory.drop(predicate)
+    state.keep(keep)
     return state, 0, 0
 
 
@@ -110,8 +110,10 @@ METHODS: dict[str, Row] = {
     "noop": _unchanged,
     "param_only": _newton_parameter_correction,
     "retain_ft": _unchanged,
-    "mem_reset": lambda ctx: _drop_pairs(ctx, lambda p: True),
-    "pair_drop": lambda ctx: _drop_pairs(ctx, lambda p: p.source in ctx.deletions.indices),
+    "mem_reset": lambda ctx: _keep_pairs(ctx, np.zeros_like(ctx.actual.src, dtype=bool)),
+    "pair_drop": lambda ctx: _keep_pairs(
+        ctx, ~np.isin(ctx.actual.src, list(ctx.deletions.indices))
+    ),
     "window_tau": lambda ctx: _window_replay(ctx, ctx.step_cfg.tau),
     "window_5tau": lambda ctx: _window_replay(ctx, 5 * ctx.step_cfg.tau),
     "drop_refill": lambda ctx: (ctx.theta0.clone(), 0, 0),

@@ -95,9 +95,6 @@ class DecayFit:
 
     rho_hat: float
     c_hat: float
-    k_lo: int
-    k_hi: int
-    r_squared: float
 
 
 def fit_decay_rate(
@@ -106,9 +103,7 @@ def fit_decay_rate(
     """Fit trace[k] ~ C * rho^k on k in [k_lo, k_hi] (inclusive).
 
     Values are floored at `floor` before taking logs. rho_hat is
-    deliberately unclamped: amplifying phases report rho_hat > 1. The
-    r-squared is computed over the unfloored points only; with fewer than
-    two of them it is reported as nan.
+    deliberately unclamped: amplifying phases report rho_hat > 1.
     """
     arr = np.asarray(trace, dtype=float)
     if not 0 <= k_lo <= k_hi < arr.size:
@@ -119,26 +114,7 @@ def fit_decay_rate(
     vals = arr[k_lo : k_hi + 1]
     logs = np.log(np.maximum(vals, floor))
     slope, intercept = np.polyfit(ks, logs, 1)
-
-    live = vals > floor
-    if int(live.sum()) >= 2:
-        resid = logs[live] - (slope * ks[live] + intercept)
-        total = logs[live] - float(np.mean(logs[live]))
-        ss_res = float(resid @ resid)
-        ss_tot = float(total @ total)
-        if ss_tot > 0.0:
-            r2 = 1.0 - ss_res / ss_tot
-        else:
-            r2 = 1.0 if ss_res == 0.0 else 0.0
-    else:
-        r2 = float("nan")
-    return DecayFit(
-        rho_hat=float(np.exp(slope)),
-        c_hat=float(np.exp(intercept)),
-        k_lo=k_lo,
-        k_hi=k_hi,
-        r_squared=r2,
-    )
+    return DecayFit(rho_hat=float(np.exp(slope)), c_hat=float(np.exp(intercept)))
 
 
 @dataclass

@@ -6,59 +6,18 @@ the two-loop direction with a constant step size, then forms
 s = w' - w and y = grad(w') - grad(w) from the same event, accepting the
 pair only when s'y exceeds a curvature threshold. Every pair records the
 index of the event that produced it, which is what deletion audits consume.
-A LaneBank steps several states together with one batched two-loop per
-step and the same bits as stepping each state alone.
+A state keeps its pairs in the ring layout of one LaneBank lane, and a
+LaneBank steps several states together with one batched two-loop per step
+and the same bits as stepping each state alone.
 """
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidConfig
 from .stream import DeletionSet, Event, loss_and_grad, require_finite
-
-
-@dataclass(frozen=True, slots=True)
-class CurvaturePair:
-    s: np.ndarray
-    y: np.ndarray
-    source: int
-
-
-@dataclass
-class MemoryState:
-    """Ring buffer of curvature pairs, oldest first, capacity tau."""
-
-    tau: int
-    pairs: deque[CurvaturePair] = field(default_factory=deque)
-
-    def __post_init__(self) -> None:
-        if self.tau < 1:
-            raise InvalidConfig("memory capacity tau must be >= 1")
-        if self.pairs.maxlen != self.tau:
-            self.pairs = deque(self.pairs, maxlen=self.tau)
-
-    def push(self, pair: CurvaturePair) -> None:
-        """Append newest pair; the deque evicts the oldest at capacity."""
-        self.pairs.append(pair)
-
-    def drop(self, predicate) -> int:
-        """Remove pairs matching predicate, preserving order; returns count."""
-        kept = [p for p in self.pairs if not predicate(p)]
-        removed = len(self.pairs) - len(kept)
-        self.pairs = deque(kept, maxlen=self.tau)
-        return removed
-
-    def clear(self) -> None:
-        self.pairs.clear()
-
-    def clone(self) -> MemoryState:
-        return MemoryState(tau=self.tau, pairs=deque(self.pairs, maxlen=self.tau))
-
-    def __len__(self) -> int:
-        return len(self.pairs)
 
 
 @dataclass(frozen=True)
@@ -86,17 +45,51 @@ class StepConfig:
 
 @dataclass
 class OptimizerState:
+    """Parameters w and the memory, in the ring layout of one LaneBank lane.
+
+    S and Y are (tau, d), right-aligned: a state holding n pairs keeps them
+    oldest first in the last n rows, and every empty row is zero. src is
+    the (tau,) ring of each pair's source event index, -1 in empty slots.
+    len(state) is the pair count.
+    """
+
     w: np.ndarray
-    memory: MemoryState
+    S: np.ndarray
+    Y: np.ndarray
+    src: np.ndarray
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self.src >= 0))
 
     def clone(self) -> OptimizerState:
-        return OptimizerState(w=self.w.copy(), memory=self.memory.clone())
+        return OptimizerState(self.w.copy(), self.S.copy(), self.Y.copy(), self.src.copy())
+
+    def push(self, s: np.ndarray, y: np.ndarray, source: int) -> None:
+        """Append (s, y) from event `source` as the newest pair; a full ring evicts its oldest."""
+        for ring, new in ((self.S, s), (self.Y, y), (self.src, source)):
+            ring[:-1] = ring[1:]
+            ring[-1] = new
+
+    def keep(self, mask: np.ndarray) -> None:
+        """Keep the pairs in the slots where mask holds, compacted right-aligned in order."""
+        rows = np.flatnonzero(mask & (self.src >= 0))
+        empty = len(self.src) - rows.size
+        for ring, fill in ((self.S, 0.0), (self.Y, 0.0), (self.src, -1)):
+            ring[empty:] = ring[rows]
+            ring[:empty] = fill
 
 
 def state_key(state: OptimizerState) -> tuple:
-    """Hashable key, equal for two states exactly when w, tau and every pair match bit for bit."""
-    pairs = tuple((p.s.tobytes(), p.y.tobytes(), p.source) for p in state.memory.pairs)
-    return state.w.tobytes(), state.memory.tau, pairs
+    """Hashable key, equal for two states exactly when w and every slot match bit for bit."""
+    return tuple(a.tobytes() for a in (state.w, state.S, state.Y, state.src))
+
+
+def direct_mass(memory: OptimizerState | LaneBank, deletions: DeletionSet) -> np.ndarray:
+    """Stored pairs whose source event is deleted, counted over the last axis of `src`.
+
+    One count for a state, one per lane for a bank.
+    """
+    return np.isin(memory.src, list(deletions.indices)).sum(axis=-1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -112,7 +105,9 @@ def initial_state(dimension: int, cfg: StepConfig) -> OptimizerState:
     """Zero parameters, empty memory: the global starting point."""
     if dimension < 1:
         raise InvalidConfig("dimension must be >= 1")
-    return OptimizerState(w=np.zeros(dimension), memory=MemoryState(tau=cfg.tau))
+    shape = (cfg.tau, dimension)
+    src = np.full(cfg.tau, -1, dtype=np.int64)
+    return OptimizerState(np.zeros(dimension), np.zeros(shape), np.zeros(shape), src)
 
 
 def dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -129,29 +124,30 @@ class LaneBank:
 
     `w` is (lanes, d). S and Y are (lanes, tau, d) rings, right-aligned: a
     lane holding n pairs keeps them oldest first in its last n slots, and
-    every empty slot holds zero vectors with rho = 0. rho and gamma (1 on
-    an empty lane) are cached at push time from `dots`, with the bits of
-    the products `two_loop` evaluates, so the batched recursion gives
-    every lane its scalar result bit for bit. `src` is the (lanes, tau)
-    ring of each pair's source event index, -1 in empty slots. len(bank)
-    is the deepest lane's pair count.
+    every empty slot holds zero vectors with rho = 0; lane i holds the
+    arrays of states[i]. rho and gamma (1 on an empty lane) come from
+    `dots`, with the bits of the products `two_loop` evaluates, so the
+    batched recursion gives every lane its scalar result bit for bit. `src`
+    is the (lanes, tau) ring of each pair's source event index, -1 in empty
+    slots. len(bank) is the deepest lane's pair count.
     """
 
     def __init__(self, states: list[OptimizerState]) -> None:
-        self.tau = states[0].memory.tau
-        if any(st.memory.tau != self.tau for st in states):
+        self.tau = len(states[0].src)
+        if any(len(st.src) != self.tau for st in states):
             raise InvalidConfig("lanes must share tau")
         self.w = np.array([st.w for st in states], dtype=np.float64)
-        m, d = self.w.shape
-        self.S = np.zeros((m, self.tau, d))
-        self.Y = np.zeros((m, self.tau, d))
-        self.rho = np.zeros((m, self.tau))
-        self.src = np.full((m, self.tau), -1, dtype=np.int64)
-        self.gamma = np.ones(m)
-        self.depth = np.zeros(m, dtype=np.int64)
-        for i, st in enumerate(states):
-            for p in st.memory.pairs:
-                self._push(np.array([i]), p.s[None, :], p.y[None, :], dots(p.s, p.y), p.source)
+        self.S = np.array([st.S for st in states], dtype=np.float64)
+        self.Y = np.array([st.Y for st in states], dtype=np.float64)
+        self.src = np.array([st.src for st in states], dtype=np.int64)
+        filled = self.src >= 0
+        self.depth = filled.sum(axis=1)
+        sy = dots(self.S, self.Y)
+        self.rho = np.divide(1.0, sy, out=np.zeros_like(sy), where=filled)
+        newest = self.Y[:, -1]
+        self.gamma = np.divide(
+            sy[:, -1], dots(newest, newest), out=np.ones(len(sy)), where=filled[:, -1]
+        )
 
     def __len__(self) -> int:
         return int(self.depth.max())
@@ -167,10 +163,6 @@ class LaneBank:
             ring[lanes, -1] = new
         self.gamma[lanes] = sy / dots(y, y)
         self.depth[lanes] = np.minimum(self.depth[lanes] + 1, self.tau)
-
-    def direct_mass(self, deletions: DeletionSet) -> np.ndarray:
-        """Per lane, the stored pairs whose source event is deleted."""
-        return np.isin(self.src, list(deletions.indices)).sum(axis=1)
 
     def move(self, event: Event, cfg: StepConfig) -> tuple[list[float], np.ndarray]:
         """Every lane's `advance` on one event, in place.
@@ -225,7 +217,7 @@ def _lanes_two_loop(bank: LaneBank, q: np.ndarray) -> np.ndarray:
     return r
 
 
-def two_loop(memory: MemoryState | LaneBank, q: np.ndarray) -> np.ndarray:
+def two_loop(memory: OptimizerState | LaneBank, q: np.ndarray) -> np.ndarray:
     """Apply the inverse-Hessian approximation of `memory` to q.
 
     q may be a single vector (d,) or a column stack (d, m); the operator is
@@ -235,33 +227,31 @@ def two_loop(memory: MemoryState | LaneBank, q: np.ndarray) -> np.ndarray:
     results, (lanes, d) or (lanes, d, m).
     """
     single = q.ndim == 1
+    block = q[:, None] if single else q
+    d = memory.w.shape[-1]
+    if block.shape[0] != d:
+        raise DimensionMismatch(f"probe dimension {block.shape[0]} != memory dimension {d}")
     if isinstance(memory, LaneBank):
-        block = q[:, None] if single else q
-        m, d = memory.w.shape
-        if block.shape[0] != d:
-            raise DimensionMismatch(f"probe dimension {block.shape[0]} != memory dimension {d}")
-        out = _lanes_two_loop(memory, np.broadcast_to(block, (m, *block.shape)))
+        out = _lanes_two_loop(memory, np.broadcast_to(block, (len(memory.w), *block.shape)))
         return out[:, :, 0] if single else out
-    qq = (q[:, None] if single else q).astype(np.float64, copy=True)
-    pairs = memory.pairs
-    if not pairs:
+    qq = block.astype(np.float64, copy=True)
+    n = len(memory)
+    if not n:
         return qq[:, 0] if single else qq
-    d = next(iter(pairs)).s.shape[0]
-    if qq.shape[0] != d:
-        raise DimensionMismatch(f"probe dimension {qq.shape[0]} != memory dimension {d}")
+    pairs = list(zip(memory.S[-n:], memory.Y[-n:]))  # oldest first
 
-    stack: list[tuple[CurvaturePair, float, np.ndarray]] = []
-    for p in reversed(pairs):
-        rho = 1.0 / float(p.s @ p.y)
-        alpha = rho * (p.s @ qq)
-        qq -= p.y[:, None] * alpha[None, :]
-        stack.append((p, rho, alpha))
+    stack: list[tuple[np.ndarray, np.ndarray, float, np.ndarray]] = []
+    for s, y in reversed(pairs):
+        rho = 1.0 / float(s @ y)
+        alpha = rho * (s @ qq)
+        qq -= y[:, None] * alpha[None, :]
+        stack.append((s, y, rho, alpha))
 
-    newest = pairs[-1]
-    r = (float(newest.s @ newest.y) / float(newest.y @ newest.y)) * qq
-    for p, rho, alpha in reversed(stack):
-        beta = rho * (p.y @ r)
-        r += p.s[:, None] * (alpha - beta)[None, :]
+    s, y = pairs[-1]
+    r = (float(s @ y) / float(y @ y)) * qq
+    for s, y, rho, alpha in reversed(stack):
+        beta = rho * (y @ r)
+        r += s[:, None] * (alpha - beta)[None, :]
     return r[:, 0] if single else r
 
 
@@ -272,7 +262,7 @@ def advance(state: OptimizerState, event: Event, cfg: StepConfig) -> tuple[Optim
     search direction. The input state is not modified.
     """
     loss, g = loss_and_grad(event.payload, state.w)
-    direction = -two_loop(state.memory, g)
+    direction = -two_loop(state, g)
     w_next = state.w + cfg.eta * direction
 
     _, g_next = loss_and_grad(event.payload, w_next)
@@ -283,7 +273,7 @@ def advance(state: OptimizerState, event: Event, cfg: StepConfig) -> tuple[Optim
     nxt.w = w_next
     accepted = float(s @ y) > cfg.curvature_eps
     if accepted:
-        nxt.memory.push(CurvaturePair(s=s, y=y, source=event.index))
+        nxt.push(s, y, event.index)
     return nxt, StepInfo(loss=loss, direction=direction, pair_accepted=accepted)
 
 
@@ -302,7 +292,3 @@ def replay(theta0: OptimizerState, history: list[Event], cfg: StepConfig) -> Opt
         state = step(state, e, cfg)
     return state
 
-
-def direct_memory_mass(memory: MemoryState, deletions: DeletionSet) -> int:
-    """Number of stored pairs whose source event is deleted."""
-    return sum(1 for p in memory.pairs if p.source in deletions.indices)

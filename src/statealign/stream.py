@@ -15,6 +15,7 @@ import base64
 import contextlib
 import math
 import os
+import typing
 from dataclasses import dataclass, fields
 from enum import Enum
 
@@ -100,6 +101,26 @@ def require_finite(cfg) -> None:
         value = getattr(cfg, f.name)
         if isinstance(value, float) and not math.isfinite(value):
             raise InvalidConfig(f"{f.name} must be finite, got {value!r}")
+
+
+def parse_value(raw: str, kind, key: str):
+    """One config field's value from its text, by the field's type `kind`.
+
+    `kind` comes from `typing.get_type_hints` of the config dataclass: an
+    enum takes its value text, a float must be finite, and a tuple type
+    takes a comma list. A bad value raises InvalidConfig naming `key`.
+    """
+    raw = raw.strip()
+    if typing.get_origin(kind) is tuple:
+        item = typing.get_args(kind)[0]
+        return tuple(parse_value(v, item, key) for v in raw.split(",") if v.strip())
+    try:
+        value = kind(raw)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError("not finite")
+    except ValueError as exc:
+        raise InvalidConfig(f"bad value {raw!r} for {key}") from exc
+    return value
 
 
 @dataclass(frozen=True)
@@ -210,17 +231,6 @@ def _spd_from_spectrum(rng: np.random.Generator, d: int, mu: float, kappa: float
     return 0.5 * (m + m.T)
 
 
-def _clamp_spectrum(m: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Project eigenvalues onto [lo, hi]; cheap no-op when already inside."""
-    vals, vecs = np.linalg.eigh(m)
-    tol = 1e-12 * hi
-    if vals[0] >= lo - tol and vals[-1] <= hi + tol:
-        return m
-    clipped = np.clip(vals, lo, hi)
-    out = (vecs * clipped) @ vecs.T
-    return 0.5 * (out + out.T)
-
-
 def _curvature_alpha(cfg: StreamConfig, t: int) -> float:
     return 0.5 * cfg.curvature_drift * (1.0 + math.sin(2.0 * math.pi * t / cfg.curvature_period))
 
@@ -239,7 +249,6 @@ def gen_quadratic_stream(config: StreamConfig, seed: int) -> EventStream:
 
     drifting = config.curvature_drift > 0.0
     h_static = _freeze(h0.copy())
-    lo, hi = config.mu, config.condition_number * config.mu
 
     events: list[Event] = []
     for t in range(1, config.length + 1):
@@ -253,7 +262,9 @@ def gen_quadratic_stream(config: StreamConfig, seed: int) -> EventStream:
         )
         if drifting:
             alpha = _curvature_alpha(config, t)
-            h_t = _freeze(_clamp_spectrum((1.0 - alpha) * h0 + alpha * h1, lo, hi))
+            # Both ends have their spectrum in [mu, kappa*mu], so by Weyl's
+            # inequality every convex combination keeps it there.
+            h_t = _freeze((1.0 - alpha) * h0 + alpha * h1)
         else:
             h_t = h_static
         payload = QuadraticSample(hessian=h_t, minimizer=_freeze(a_t))
@@ -387,7 +398,6 @@ def edit_history(prefix: list[Event], deletions: DeletionSet) -> list[Event]:
 # ---------------------------------------------------------------------------
 
 _HEADER = f"# statealign-stream v{STREAM_FILE_VERSION} seed="
-_CONFIG_ENUMS = {"regime": Regime, "deletion_mode": DeletionMode}
 
 
 def atomic_write(path: str, text: str) -> None:
@@ -423,14 +433,8 @@ def _config_from_header(line: str) -> StreamConfig:
     pairs = {key: raw for key, sep, raw in items if sep}
     if len(pairs) != len(items) or sorted(pairs) != sorted(f.name for f in fields(StreamConfig)):
         raise ValueError("the config line must set each StreamConfig field once as key=value")
-    kwargs = {}
-    for f in fields(StreamConfig):
-        parse = _CONFIG_ENUMS.get(f.name) or (int if f.type == "int" else float)
-        try:
-            kwargs[f.name] = parse(pairs[f.name])
-        except ValueError:
-            raise ValueError(f"bad value {pairs[f.name]!r} for {f.name}") from None
-    config = StreamConfig(**kwargs)
+    kinds = typing.get_type_hints(StreamConfig)
+    config = StreamConfig(**{k: parse_value(pairs[k], kind, k) for k, kind in kinds.items()})
     config.validate()
     return config
 

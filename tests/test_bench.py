@@ -35,7 +35,7 @@ from statealign.interventions import (
     parse_intervention,
 )
 from statealign.metrics import MetricTrace, make_probes
-from statealign.olbfgs import StepConfig, advance, direct_memory_mass, state_key, two_loop
+from statealign.olbfgs import StepConfig, advance, direct_mass, state_key, two_loop
 from statealign.stream import Regime, StreamConfig
 
 
@@ -209,7 +209,7 @@ def reference_propagation(oracle0, starts, future, cfg, probes, memory_weight, d
     loss = np.full((n, h + 1), np.nan)
 
     for k in range(h + 1):
-        actions = [two_loop(st.memory, probes) for st in lanes]
+        actions = [two_loop(st, probes) for st in lanes]
         for i, st in enumerate(lanes):
             e_w = float(np.linalg.norm(st.w - lanes[0].w))
             diff = actions[i] - actions[0]
@@ -217,7 +217,7 @@ def reference_propagation(oracle0, starts, future, cfg, probes, memory_weight, d
             param[i, k] = e_w
             memory[i, k] = e_z
             state[i, k] = e_w + memory_weight * e_z
-            mass[i, k] = direct_memory_mass(st.memory, deletions)
+            mass[i, k] = direct_mass(st, deletions)
         if k < h:
             steps = [advance(st, future[k], cfg) for st in lanes]
             lanes = [st for st, _ in steps]
@@ -311,9 +311,8 @@ def test_pair_source_is_part_of_the_lane_key():
     cfg = small_config()
     strm, ctx, oracle0 = bench.prepare_run(cfg, 7)
     deleted, kept = ctx.actual.clone(), ctx.actual.clone()
-    newest = ctx.actual.memory.pairs[-1]
-    deleted.memory.pairs[-1] = replace(newest, source=min(ctx.deletions.indices))
-    kept.memory.pairs[-1] = replace(newest, source=cfg.stream.length)
+    deleted.src[-1] = min(ctx.deletions.indices)
+    kept.src[-1] = cfg.stream.length
     future = strm.future(cfg.stream.deletion_time, cfg.stream.horizon)
     probes = make_probes(cfg.stream.dimension, cfg.probe_count, 7)
     a, b = bench._propagate_lanes(
@@ -402,8 +401,8 @@ def test_grid_pool_has_no_more_workers_than_points(monkeypatch):
             return map(fn, jobs)
 
     monkeypatch.setattr(bench, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(bench, "_grid_worker", lambda job: job[1])
-    assert run_grid(small_config(), {"tau": [3, 5]}, workers=64) == [{"tau": 3}, {"tau": 5}]
+    monkeypatch.setattr(bench, "_grid_worker", lambda job: job[0].optimizer.tau)
+    assert run_grid(small_config(), {"tau": [3, 5]}, workers=64) == [3, 5]
     assert len(run_grid(small_config(), {"kappa": [2.0, 8.0], "tau": [3, 5]}, workers=3)) == 4
     assert made == [2, 3]
 
@@ -422,6 +421,17 @@ def test_grid_rejects_a_negative_seed_before_any_point_runs(monkeypatch):
     monkeypatch.setattr(bench, "_run_single", lambda *args, **kwargs: ran.append(args))
     with pytest.raises(InvalidConfig, match="seed must be >= 0, got -4"):
         run_grid(small_config(), {"seed": [1, -4]}, workers=1)
+    assert ran == []
+
+
+def test_grid_validates_every_point_before_any_point_runs(monkeypatch):
+    ran = []
+    monkeypatch.setattr(bench, "_run_single", lambda *args, **kwargs: ran.append(args))
+    cfg = small_config()
+    cfg = replace(cfg, stream=replace(cfg.stream, length=300, deletion_time=100))
+    # horizon = 150 is a valid point; horizon = 250 runs past the stream's end.
+    with pytest.raises(InvalidConfig, match="deletion_time \\+ horizon must not exceed length"):
+        run_grid(cfg, {"horizon": [150, 250]}, workers=1)
     assert ran == []
 
 

@@ -13,7 +13,7 @@ from statealign.interventions import (
     apply,
     parse_intervention,
 )
-from statealign.olbfgs import StepConfig, initial_state, replay
+from statealign.olbfgs import StepConfig, initial_state, replay, state_key
 from statealign.stream import (
     DeletionMode,
     StreamConfig,
@@ -79,7 +79,7 @@ def test_noop_and_retain_ft_return_unchanged_parameters():
     for mid in ("noop", "retain_ft"):
         out = apply(parse_intervention(mid), ctx)
         np.testing.assert_array_equal(out.state.w, ctx.actual.w)
-        assert len(out.state.memory.pairs) == len(ctx.actual.memory.pairs)
+        assert state_key(out.state) == state_key(ctx.actual)
         assert out.cost.replayed_events == 0
         # must be a private copy, not an alias
         out.state.w[0] += 1.0
@@ -90,40 +90,38 @@ def test_mem_reset_clears_memory_and_keeps_parameters():
     _, _, ctx = make_context()
     out = apply(parse_intervention("mem_reset"), ctx)
     np.testing.assert_array_equal(out.state.w, ctx.actual.w)
-    assert out.state.memory.pairs == type(out.state.memory.pairs)()
-    assert len(out.state.memory.pairs) == 0
+    assert len(out.state) == 0
+    assert (out.state.src == -1).all()
+    assert not out.state.S.any() and not out.state.Y.any()
 
 
 def test_pair_drop_removes_exactly_contaminated_pairs():
     _, _, ctx = make_context()
     banned = ctx.deletions.indices
-    before = list(ctx.actual.memory.pairs)
-    out = apply(parse_intervention("pair_drop"), ctx)
-    kept = list(out.state.memory.pairs)
-    assert all(p.source not in banned for p in kept)
-    expected_kept = [p for p in before if p.source not in banned]
-    assert len(kept) == len(expected_kept)
-    for p, q in zip(kept, expected_kept):
-        np.testing.assert_array_equal(p.s, q.s)
-    np.testing.assert_array_equal(out.state.w, ctx.actual.w)
+    before = ctx.actual
+    out = apply(parse_intervention("pair_drop"), ctx).state
+    kept = [j for j, src in enumerate(before.src) if src >= 0 and src not in banned]
+    assert len(out) == len(kept)
+    first = len(out.src) - len(kept)
+    assert out.src[first:].tolist() == before.src[kept].tolist()
+    np.testing.assert_array_equal(out.S[first:], before.S[kept])
+    np.testing.assert_array_equal(out.Y[first:], before.Y[kept])
+    assert (out.src[:first] == -1).all() and not out.S[:first].any()
+    np.testing.assert_array_equal(out.w, ctx.actual.w)
 
 
 def test_drop_refill_restarts_parameters_and_memory():
     _, _, ctx = make_context()
     out = apply(parse_intervention("drop_refill"), ctx)
     np.testing.assert_array_equal(out.state.w, ctx.theta0.w)
-    assert len(out.state.memory.pairs) == 0
+    assert len(out.state) == 0
 
 
 def test_window_replay_with_full_coverage_matches_oracle_bitwise():
     strm, prefix, ctx = make_context()
     oracle = apply(parse_intervention("oracle"), ctx)
     window = apply(parse_intervention("window:40"), ctx)
-    np.testing.assert_array_equal(window.state.w, oracle.state.w)
-    assert len(window.state.memory.pairs) == len(oracle.state.memory.pairs)
-    for p, q in zip(window.state.memory.pairs, oracle.state.memory.pairs):
-        np.testing.assert_array_equal(p.s, q.s)
-        np.testing.assert_array_equal(p.y, q.y)
+    assert state_key(window.state) == state_key(oracle.state)
 
 
 def test_window_replay_shorter_window_differs_from_oracle():
@@ -153,9 +151,9 @@ def test_param_only_applies_damped_newton_removal():
     np.testing.assert_allclose(out.state.w, expected, rtol=1e-13)
     assert out.cost.extra_grad_evals == 5
     # memory untouched: the corrected parameters sit atop the old pairs
-    assert len(out.state.memory.pairs) == len(ctx.actual.memory.pairs)
-    for p, q in zip(out.state.memory.pairs, ctx.actual.memory.pairs):
-        np.testing.assert_array_equal(p.s, q.s)
+    np.testing.assert_array_equal(out.state.S, ctx.actual.S)
+    np.testing.assert_array_equal(out.state.Y, ctx.actual.Y)
+    np.testing.assert_array_equal(out.state.src, ctx.actual.src)
 
 
 def test_all_methods_map_the_counterfactual_future():

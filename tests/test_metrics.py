@@ -21,7 +21,7 @@ from statealign.metrics import (
     state_error,
     state_gaps,
 )
-from statealign.olbfgs import CurvaturePair, LaneBank, MemoryState, OptimizerState, two_loop
+from statealign.olbfgs import LaneBank, StepConfig, initial_state, two_loop
 
 
 def test_param_error_is_euclidean_distance():
@@ -45,12 +45,13 @@ def test_state_error_combines_with_weight():
 
 def test_state_gaps_agree_with_manual_two_loop():
     rng = np.random.default_rng(0)
-    mem_a = MemoryState(tau=4)
-    mem_b = MemoryState(tau=4)
+    mem_a = initial_state(3, StepConfig(tau=4))
+    mem_b = initial_state(3, StepConfig(tau=4))
     s = rng.normal(size=3)
-    mem_a.push(CurvaturePair(s=s, y=2.0 * s, source=1))
+    mem_a.push(s, 2.0 * s, 1)
     w_a, w_b = rng.normal(size=3), rng.normal(size=3)
-    lanes = [OptimizerState(w_b, mem_b), OptimizerState(w_a, mem_a), OptimizerState(w_b, mem_b)]
+    mem_a.w, mem_b.w = w_a, w_b
+    lanes = [mem_b, mem_a, mem_b]
     probes = make_probes(3, 8, seed=5)
     e_w, e_z, e_theta = state_gaps(LaneBank(lanes), probes, memory_weight=0.5)
     diffs = two_loop(mem_a, probes) - two_loop(mem_b, probes)
@@ -76,13 +77,13 @@ def test_make_probes_unit_columns_and_determinism():
 def test_probe_half_split_estimates_agree():
     # RMS over 16 random probes should be close to RMS over the other 16
     rng = np.random.default_rng(9)
-    mem_a = MemoryState(tau=6)
-    mem_b = MemoryState(tau=6)
+    mem_a = initial_state(12, StepConfig(tau=6))
+    mem_b = initial_state(12, StepConfig(tau=6))
     for t in range(1, 5):
         s = rng.normal(size=12)
         y = rng.normal(size=12)
         if s @ y > 1e-3:
-            mem_a.push(CurvaturePair(s=s, y=y, source=t))
+            mem_a.push(s, y, t)
     probes = make_probes(12, 32, seed=0)
     diffs = two_loop(mem_a, probes) - two_loop(mem_b, probes)
     norms = np.sum(diffs * diffs, axis=0)
@@ -178,7 +179,6 @@ def test_fit_recovers_planted_exponential():
     fit = fit_decay_rate(c * rho**k, k_lo=0, k_hi=59)
     assert fit.rho_hat == pytest.approx(rho, abs=1e-9)
     assert fit.c_hat == pytest.approx(c, abs=1e-9)
-    assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
 
 
 def test_fit_reports_amplification_without_clamping():
@@ -193,15 +193,12 @@ def test_fit_window_bounds_are_respected():
     trace = np.where(k < 50, 1.0 * 0.9**k, 1e-3 * 0.99 ** (k - 50))
     fit = fit_decay_rate(trace, k_lo=50, k_hi=99)
     assert fit.rho_hat == pytest.approx(0.99, abs=1e-9)
-    assert fit.k_lo == 50 and fit.k_hi == 99
 
 
 def test_fit_floors_dead_points_and_excludes_them_from_r2():
     trace = np.concatenate([0.5 * 0.5 ** np.arange(20), np.zeros(10)])
     fit = fit_decay_rate(trace, k_lo=0, k_hi=29)
     assert np.isfinite(fit.rho_hat)
-    # the zero tail is floored, so the live prefix alone must explain the fit
-    assert fit.r_squared < 1.0
 
 
 def test_fit_rejects_bad_windows():
@@ -212,11 +209,10 @@ def test_fit_rejects_bad_windows():
 
 
 def test_fit_on_dead_trace_flattens_with_undefined_r2():
-    # every point sits at the floor: the fit sees a constant, r2 is undefined
+    # every point sits at the floor: the fit sees a constant
     fit = fit_decay_rate(np.zeros(10), k_lo=0, k_hi=9)
     assert isinstance(fit, DecayFit)
     assert fit.rho_hat == pytest.approx(1.0, abs=1e-9)
-    assert math.isnan(fit.r_squared)
 
 
 @given(

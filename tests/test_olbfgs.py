@@ -7,13 +7,10 @@ from hypothesis import strategies as st
 
 from statealign.errors import InvalidConfig
 from statealign.olbfgs import (
-    CurvaturePair,
     LaneBank,
-    MemoryState,
-    OptimizerState,
     StepConfig,
     advance,
-    direct_memory_mass,
+    direct_mass,
     initial_state,
     replay,
     state_key,
@@ -31,26 +28,28 @@ from statealign.stream import (
 )
 
 
-def dense_inverse_hessian(memory: MemoryState) -> np.ndarray:
+def dense_inverse_hessian(state) -> np.ndarray:
     """Brute-force inverse-Hessian estimate built by the textbook recursion.
 
     Starts from gamma * I, gamma = s'y / y'y of the newest pair, and applies
     every stored pair oldest to newest:
     M <- (I - rho s y^T) M (I - rho y s^T) + rho s s^T.
     """
-    d = memory.pairs[0].s.size
-    newest = memory.pairs[-1]
-    gamma = float(newest.s @ newest.y) / float(newest.y @ newest.y)
+    first = len(state.src) - len(state)
+    S, Y = state.S[first:], state.Y[first:]
+    d = state.w.size
+    gamma = float(S[-1] @ Y[-1]) / float(Y[-1] @ Y[-1])
     m = gamma * np.eye(d)
-    for p in memory.pairs:
-        rho = 1.0 / float(p.s @ p.y)
-        left = np.eye(d) - rho * np.outer(p.s, p.y)
-        m = left @ m @ left.T + rho * np.outer(p.s, p.s)
+    for s, y in zip(S, Y):
+        rho = 1.0 / float(s @ y)
+        left = np.eye(d) - rho * np.outer(s, y)
+        m = left @ m @ left.T + rho * np.outer(s, s)
     return m
 
 
 def random_memory(rng, d, n_pairs, tau=8):
-    mem = MemoryState(tau=tau)
+    """A state with zero w and n_pairs random pairs of positive curvature pushed."""
+    mem = initial_state(d, StepConfig(tau=tau))
     made = 0
     t = 0
     while made < n_pairs:
@@ -59,7 +58,7 @@ def random_memory(rng, d, n_pairs, tau=8):
         y = rng.normal(size=d)
         if float(s @ y) <= 1e-3:
             continue
-        mem.push(CurvaturePair(s=s, y=y, source=t))
+        mem.push(s, y, t)
         made += 1
     return mem
 
@@ -83,14 +82,14 @@ def test_two_loop_single_pair_is_exact_newton_in_1d():
     # pair (s, h*s) encodes curvature h; the recursion must return q / h
     h = 3.7
     s = np.array([0.9])
-    mem = MemoryState(tau=4)
-    mem.push(CurvaturePair(s=s, y=h * s, source=1))
+    mem = initial_state(1, StepConfig(tau=4))
+    mem.push(s, h * s, 1)
     q = np.array([2.0])
     np.testing.assert_allclose(two_loop(mem, q), q / h, rtol=1e-14)
 
 
 def test_two_loop_empty_memory_is_the_identity():
-    mem = MemoryState(tau=4)
+    mem = initial_state(4, StepConfig(tau=4))
     q = np.array([1.0, -2.0, -0.0, np.inf])
     out = two_loop(mem, q)
     assert out.tobytes() == q.tobytes()
@@ -143,12 +142,12 @@ def random_vector(rng, d, special_rate):
 
 def lane_memory(rng, d, tau, n_candidates, eps):
     """Pushes n_candidates random pairs, rejecting those with s'y <= eps as advance does."""
-    mem = MemoryState(tau=tau)
+    mem = initial_state(d, StepConfig(tau=tau))
     for t in range(n_candidates):
         s = rng.normal(size=d)
         y = rng.normal(size=d) + rng.uniform(-1.0, 2.0) * s
         if float(s @ y) > eps:
-            mem.push(CurvaturePair(s=s, y=y, source=t))
+            mem.push(s, y, t)
     return mem
 
 
@@ -177,9 +176,8 @@ def test_lane_bank_two_loop_matches_scalar_bit_for_bit(seed, lanes, d, tau, colu
         for _ in range(lanes)
     ]
     if lanes > 1:
-        memories[1].clear()
-    states = [OptimizerState(w=np.zeros(d), memory=m) for m in memories]
-    bank = LaneBank(states)
+        memories[1].keep(np.zeros(tau, dtype=bool))
+    bank = LaneBank(memories)
     assert len(bank) == max(len(m) for m in memories)
 
     shared = np.stack([random_vector(rng, d, special_rate) for _ in range(columns)], axis=1)
@@ -214,7 +212,7 @@ def test_lane_bank_move_matches_advance_bit_for_bit(seed, tau, logistic, curvatu
     events = generate_stream(scfg, seed).events
     trained = replay(initial_state(4, cfg), events[:60], cfg)
     reset = trained.clone()
-    reset.memory.clear()
+    reset.keep(np.zeros(tau, dtype=bool))
     short = replay(initial_state(4, cfg), events[50:60], cfg)
     lanes = [trained, reset, short, initial_state(4, cfg)]
     bank = LaneBank(lanes)
@@ -228,14 +226,16 @@ def test_lane_bank_move_matches_advance_bit_for_bit(seed, tau, logistic, curvatu
             assert losses[i] == info.loss
             assert same_bits(directions[i], info.direction)
             assert same_bits(bank.w[i], lanes[i].w)
-            pairs = lanes[i].memory.pairs
-            assert bank.depth[i] == len(pairs)
-            assert bank.src[i, tau - len(pairs):].tolist() == [p.source for p in pairs]
-            assert (bank.src[i, : tau - len(pairs)] == -1).all()
-            for slot, p in zip(range(tau - len(pairs), tau), pairs):
-                assert same_bits(bank.S[i, slot], p.s) and same_bits(bank.Y[i, slot], p.y)
+            assert bank.depth[i] == len(lanes[i])
+            assert (bank.src[i] == lanes[i].src).all()
+            assert (bank.src[i, : tau - len(lanes[i])] == -1).all()
+            assert same_bits(bank.S[i], lanes[i].S) and same_bits(bank.Y[i], lanes[i].Y)
+        # A bank built from the stepped states holds the moved bank's bits.
+        rebuilt = LaneBank(lanes)
+        for name in ("w", "S", "Y", "src", "rho", "gamma", "depth"):
+            assert same_bits(getattr(rebuilt, name), getattr(bank, name)), name
     assert accepted > 0
-    assert len(bank) == max(len(lane.memory) for lane in lanes)
+    assert len(bank) == max(len(lane) for lane in lanes)
 
 
 def test_lane_bank_rejects_lanes_with_different_memory_settings():
@@ -250,20 +250,36 @@ def test_lane_bank_rejects_lanes_with_different_memory_settings():
 def test_memory_evicts_oldest_beyond_tau():
     rng = np.random.default_rng(0)
     mem = random_memory(rng, 3, 5, tau=3)
-    assert len(mem.pairs) == 3
+    assert len(mem) == 3
     # random_memory tags pair k with source t, t increasing
-    assert [p.source for p in mem.pairs] == sorted(p.source for p in mem.pairs)
+    assert mem.src.tolist() == sorted(mem.src.tolist())
+    assert (mem.src >= 0).all()
 
 
-def test_direct_memory_mass_counts_source_overlap():
-    mem = MemoryState(tau=4)
+def test_keep_compacts_the_kept_pairs_right_aligned_in_order():
+    mem = initial_state(2, StepConfig(tau=5))
+    for t in range(1, 4):
+        s = np.array([1.0, float(t)])
+        mem.push(s, 2.0 * s, t)
+    mem.keep(mem.src != 2)
+    assert mem.src.tolist() == [-1, -1, -1, 1, 3]
+    np.testing.assert_array_equal(mem.S[3:], [[1.0, 1.0], [1.0, 3.0]])
+    np.testing.assert_array_equal(mem.Y[3:], 2.0 * mem.S[3:])
+    assert not mem.S[:3].any() and not mem.Y[:3].any()
+    assert len(mem) == 2
+
+
+def test_direct_mass_counts_source_overlap_for_a_state_and_a_bank():
+    mem = initial_state(2, StepConfig(tau=4))
     for t in range(1, 5):
         s = np.array([1.0, float(t)])
-        mem.push(CurvaturePair(s=s, y=s, source=t))
+        mem.push(s, s, t)
     ds = DeletionSet(indices=frozenset({2, 4, 9}))
-    assert direct_memory_mass(mem, ds) == 2
+    assert direct_mass(mem, ds) == 2
     empty = DeletionSet(indices=frozenset())
-    assert direct_memory_mass(mem, empty) == 0
+    assert direct_mass(mem, empty) == 0
+    bank = LaneBank([mem, initial_state(2, StepConfig(tau=4))])
+    assert direct_mass(bank, ds).tolist() == [2, 0]
 
 
 def test_step_config_validation():
@@ -286,8 +302,8 @@ def test_advance_accepts_pair_and_tracks_provenance():
     state = initial_state(6, CFG)
     state, info = advance(state, strm.events[0], CFG)
     assert info.pair_accepted
-    assert len(state.memory) == 1
-    assert state.memory.pairs[-1].source == strm.events[0].index
+    assert len(state) == 1
+    assert state.src[-1] == strm.events[0].index
 
 
 def test_advance_rejects_flat_curvature():
@@ -299,7 +315,7 @@ def test_advance_rejects_flat_curvature():
     state = initial_state(2, StepConfig(eta=0.1, tau=3))
     state2, info = advance(state, flat, StepConfig(eta=0.1, tau=3))
     assert not info.pair_accepted
-    assert len(state2.memory.pairs) == 0
+    assert len(state2) == 0
     np.testing.assert_array_equal(state2.w, state.w)
 
 
@@ -349,5 +365,5 @@ def test_clone_isolates_mutation():
     twin = state.clone()
     twin.w[0] += 1.0
     assert state.w[0] != twin.w[0]
-    twin.memory.pairs.clear()
-    assert len(state.memory.pairs) > 0
+    twin.keep(np.zeros(CFG.tau, dtype=bool))
+    assert len(state) > 0

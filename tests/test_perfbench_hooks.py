@@ -8,6 +8,7 @@ in a subprocess because the hooks patch the package for the rest of the
 process.
 """
 
+import functools
 import importlib.util
 import json
 import os
@@ -58,6 +59,23 @@ def traced_grid_run(tmp_path, config_text: str) -> dict:
     return json.loads(record_path.read_text())
 
 
+@functools.cache
+def perfbench_run():
+    """perfbench/run.py as a module, loaded once: numpy, which it imports, loads once per process."""
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    # run.py sets thread variables in os.environ when it is imported, and its
+    # dataclasses look their module up in sys.modules.
+    with mock.patch.dict(os.environ), mock.patch.dict(sys.modules, {spec.name: run}):
+        spec.loader.exec_module(run)
+    return run
+
+
+def layer_metrics(record: dict) -> dict:
+    """perfbench/run.py's per-layer metrics of a traced record."""
+    return perfbench_run().layer_metrics(record["trace"], record["workers_merged"])
+
+
 def test_traced_grid_run_merges_every_hook_from_two_workers(tmp_path):
     record = traced_grid_run(tmp_path, TINY_GRID)
     assert record["rc"] == 0
@@ -74,6 +92,12 @@ def test_traced_grid_run_merges_every_hook_from_two_workers(tmp_path):
         "metrics.direction_gap",
     ):
         assert stats.get(span, [0])[0] > 0, span
+    # The optimizer's traced counts: 228 scalar steps, every pair accepted,
+    # and 1,037 pairs seen over the 228 + 54 two_loop calls.
+    layer = layer_metrics(record)
+    assert layer["olbfgs.advance.pairs_accepted"] == 228
+    assert layer["olbfgs.advance.pairs_rejected"] == 0
+    assert layer["olbfgs.two_loop.pairs_mean"] == 1037 / 282
 
 
 def test_traced_grid_without_contraction_trials_reports_every_layer_metric(tmp_path):
@@ -82,13 +106,7 @@ def test_traced_grid_without_contraction_trials_reports_every_layer_metric(tmp_p
         tmp_path, TINY_GRID.replace("contraction_trials = 3", "contraction_trials = 0")
     )
     assert record["rc"] == 0
-    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
-    run = importlib.util.module_from_spec(spec)
-    # run.py sets thread variables in os.environ when it is imported, and its
-    # dataclasses look their module up in sys.modules.
-    with mock.patch.dict(os.environ), mock.patch.dict(sys.modules, {spec.name: run}):
-        spec.loader.exec_module(run)
-    layer = run.layer_metrics(record["trace"], record["workers_merged"])
+    layer = layer_metrics(record)
     assert record["trace"]["missing"] == []
     assert [name for name, value in layer.items() if value is None] == []
     # metrics.state_gaps applies the probes and metrics.direction_gap compares
