@@ -28,7 +28,6 @@ from .interventions import (
     DEFAULT_METHOD_IDS,
     METHODS,
     InterventionContext,
-    InterventionSpec,
     apply,
     parse_intervention,
 )

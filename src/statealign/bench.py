@@ -334,14 +334,13 @@ def _run_single(
     strm, ctx, oracle0 = prepare_run(cfg, seed)
     scfg = cfg.stream
     step_cfg = ctx.step_cfg
-    deletions = ctx.deletions
     tau = step_cfg.tau
     t_del = scfg.deletion_time
     horizon = scfg.horizon
 
-    future = [e for e in strm.future(t_del, horizon) if e.index not in deletions.indices]
+    future = strm.future(t_del, horizon)
     probes = make_probes(scfg.dimension, cfg.probe_count, seed)
-    intervened = [apply_intervention(parse_intervention(m), ctx) for m in method_ids]
+    intervened = [apply_intervention(m, ctx) for m in method_ids]
     method_traces = _propagate_lanes(
         oracle0,
         [iv.state for iv in intervened],
@@ -349,11 +348,11 @@ def _run_single(
         step_cfg,
         probes,
         cfg.memory_weight,
-        deletions,
+        ctx.deletions,
     )
     rows = [
-        _summarize_method(iv.label, trace, iv.cost, tau, len(future))
-        for iv, trace in zip(intervened, method_traces)
+        _summarize_method(m, trace, iv.cost, tau, len(future))
+        for m, iv, trace in zip(method_ids, intervened, method_traces)
     ]
     noop_trace = next((t for m, t in zip(method_ids, method_traces) if m == "noop"), None)
 
@@ -415,7 +414,7 @@ def _run_single(
         future_hash=_hash_events(future),
         probe_hash=_hash_probes(probes),
         assumption_violations=violations,
-        traces={iv.label: t for iv, t in zip(intervened, method_traces)} if keep_traces else {},
+        traces=dict(zip(method_ids, method_traces)) if keep_traces else {},
     )
 
 

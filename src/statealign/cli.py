@@ -23,7 +23,7 @@ import numpy as np
 
 from . import bench, certify, configio, metrics
 from .errors import InvalidConfig, StateAlignError
-from .interventions import apply as apply_intervention, parse_intervention
+from .interventions import apply as apply_intervention
 from .olbfgs import LaneBank
 from .stream import generate_stream, read_stream, write_stream
 
@@ -174,12 +174,12 @@ def _cmd_inspect(args) -> int:
     )
     print(f"deletion set ({cfg.stream.deletion_mode.value}): {sorted(ctx.deletions.indices)}")
     if args.intervention:
-        intervened = apply_intervention(parse_intervention(args.intervention), ctx)
+        intervened = apply_intervention(args.intervention, ctx)
         probes = metrics.make_probes(cfg.stream.dimension, cfg.probe_count, seed)
         gaps = metrics.state_gaps(LaneBank([oracle, intervened.state]), probes, cfg.memory_weight)
         e_w, e_z, e_theta = (float(e[1]) for e in gaps)
         print(
-            f"{intervened.label}: param_err={e_w!r} mem_err={e_z!r} state_err={e_theta!r} "
+            f"{args.intervention}: param_err={e_w!r} mem_err={e_z!r} state_err={e_theta!r} "
             f"replayed={intervened.cost.replayed_events}"
         )
     return EXIT_OK

@@ -50,7 +50,6 @@ class InterventionContext:
 class IntervenedState:
     state: OptimizerState
     cost: InterventionCost
-    label: str
 
 
 # What a method returns: (repaired state, replayed events, extra gradient evaluations).
@@ -122,16 +121,8 @@ METHODS: dict[str, Row] = {
 DEFAULT_METHOD_IDS: tuple[str, ...] = tuple(METHODS)
 
 
-@dataclass(frozen=True)
-class InterventionSpec:
-    """A method's label and its row function."""
-
-    label: str
-    run: Row
-
-
-def parse_intervention(method_id: str) -> InterventionSpec:
-    """Resolve a stable string id into a spec.
+def parse_intervention(method_id: str) -> Row:
+    """Resolve a stable string id into its row function.
 
     An id is a key of METHODS or window:<n>, a replay of the last n
     prefix events (n >= 1).
@@ -143,19 +134,19 @@ def parse_intervention(method_id: str) -> InterventionSpec:
             raise InvalidConfig(f"bad window length in intervention id {method_id!r}") from exc
         if window < 1:
             raise InvalidConfig("window replay needs a positive window")
-        return InterventionSpec(method_id, lambda ctx: _window_replay(ctx, window))
+        return lambda ctx: _window_replay(ctx, window)
     if method_id not in METHODS:
         raise InvalidConfig(f"unknown intervention id {method_id!r}")
-    return InterventionSpec(method_id, METHODS[method_id])
+    return METHODS[method_id]
 
 
-def apply(spec: InterventionSpec, ctx: InterventionContext) -> IntervenedState:
-    """Run one method; inputs (context, histories) are never mutated."""
+def apply(method_id: str, ctx: InterventionContext) -> IntervenedState:
+    """Run the method `method_id` names; inputs (context, histories) are never mutated."""
     started = time.perf_counter()
-    state, replayed, grad_evals = spec.run(ctx)
+    state, replayed, grad_evals = parse_intervention(method_id)(ctx)
     cost = InterventionCost(
         replayed_events=replayed,
         extra_grad_evals=grad_evals,
         wall_clock_seconds=time.perf_counter() - started,
     )
-    return IntervenedState(state=state, cost=cost, label=spec.label)
+    return IntervenedState(state=state, cost=cost)

@@ -126,7 +126,8 @@ class MetricTrace:
     entry is nan; direction_err is also nan where a direction was
     degenerate. Those entries are excluded from the direction AUC. The
     state and parameter AUCs are plain sums, so a non-finite entry (a
-    diverged run) makes them non-finite rather than vanish.
+    diverged run) makes them non-finite rather than vanish; a diverged
+    run's direction AUC is nan too.
     """
 
     param_err: np.ndarray
@@ -146,6 +147,8 @@ class MetricTrace:
         return float(np.sum(self.param_err))
 
     def direction_auc(self) -> float:
+        if not np.all(np.isfinite(self.state_err)):
+            return float("nan")
         return auc(self.direction_err)
 
     def clearance_time(self) -> int | None:

@@ -20,7 +20,6 @@ from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import (
     DimensionMismatch,
@@ -273,6 +272,14 @@ def gen_quadratic_stream(config: StreamConfig, seed: int) -> EventStream:
     return EventStream(events=events, config=config, seed=seed)
 
 
+def _expit(x: float) -> float:
+    """The logistic sigmoid of a float, bit for bit scipy.special.expit's."""
+    try:
+        return 1.0 / (1.0 + math.exp(-x))
+    except OverflowError:
+        return 0.0
+
+
 def gen_logistic_stream(config: StreamConfig, seed: int) -> EventStream:
     """Insert-only logistic stream; labels are +1/-1 drawn from the teacher."""
     config.validate()
@@ -296,7 +303,7 @@ def gen_logistic_stream(config: StreamConfig, seed: int) -> EventStream:
             chol = chol_static
         x_t = chol @ rng.standard_normal(d)
         beta_t = beta0 + config.label_drift * math.sin(2.0 * math.pi * t / config.label_period) * v
-        p_plus = expit(float(x_t @ beta_t))
+        p_plus = _expit(float(x_t @ beta_t))
         label = 1 if rng.uniform() < p_plus else -1
         payload = LogisticSample(features=_freeze(x_t), label=label, ridge=config.ridge)
         events.append(Event(index=t, time=t, payload=payload))
@@ -323,7 +330,7 @@ def loss_and_grad(payload: SamplePayload, w: np.ndarray) -> tuple[float, np.ndar
         raise DimensionMismatch("parameter/feature shapes differ")
     z = float(x @ w)
     loss = float(np.logaddexp(0.0, -y * z)) + 0.5 * ridge * float(w @ w)
-    grad = (-y * expit(-y * z)) * x + ridge * w
+    grad = (-y * _expit(-y * z)) * x + ridge * w
     return loss, grad
 
 
@@ -333,7 +340,7 @@ def loss_hessian(payload: SamplePayload, w: np.ndarray) -> np.ndarray:
         return payload.hessian
     x = payload.features
     z = float(x @ w)
-    p = expit(z)
+    p = _expit(z)
     return p * (1.0 - p) * np.outer(x, x) + payload.ridge * np.eye(x.shape[0])
 
 

@@ -29,11 +29,7 @@ from statealign.bench import (
     write_trace_csv,
 )
 from statealign.errors import EmptyResults, InvalidAxis, InvalidConfig
-from statealign.interventions import (
-    DEFAULT_METHOD_IDS,
-    apply as apply_intervention,
-    parse_intervention,
-)
+from statealign.interventions import DEFAULT_METHOD_IDS, apply as apply_intervention
 from statealign.metrics import MetricTrace, make_probes
 from statealign.olbfgs import StepConfig, advance, direct_mass, state_key, two_loop
 from statealign.stream import Regime, StreamConfig
@@ -170,7 +166,7 @@ def test_phase_fit_reads_only_a_too_short_interval_as_nan(monkeypatch):
 
 def test_oracle_intervention_reproduces_the_oracle_state_bit_for_bit():
     _, ctx, oracle0 = bench.prepare_run(small_config(), 7)
-    oracle = apply_intervention(parse_intervention("oracle"), ctx)
+    oracle = apply_intervention("oracle", ctx)
     assert state_key(oracle.state) == state_key(oracle0)
 
 
@@ -275,7 +271,7 @@ def test_propagate_lanes_matches_the_per_lane_loop_bit_for_bit(
         optimizer=replace(cfg.optimizer, **optimizer_overrides),
     )
     strm, ctx, oracle0 = bench.prepare_run(cfg, 7)
-    starts = [apply_intervention(parse_intervention(m), ctx).state for m in DEFAULT_METHOD_IDS]
+    starts = [apply_intervention(m, ctx).state for m in DEFAULT_METHOD_IDS]
     future = strm.future(cfg.stream.deletion_time, cfg.stream.horizon)
     probes = make_probes(cfg.stream.dimension, cfg.probe_count, 7)
     args = (oracle0, starts, future, ctx.step_cfg, probes, 0.7, ctx.deletions)

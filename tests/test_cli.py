@@ -1,5 +1,6 @@
 """Command-line front end: exit codes, output files, and determinism."""
 
+import csv
 import json
 
 import numpy as np
@@ -248,10 +249,14 @@ def test_a_run_that_overflows_reports_nan_auc_and_no_exact_recovery(capsys, tmp_
         "[stream]\ndimension = 6\nlength = 60\ndeletion_time = 30\nhorizon = 20\n"
         "condition_number = 1e300\nmu = 1\n\n[experiment]\ncontraction_trials = 0\n"
     )
+    out = tmp_path / "runs"
     with np.errstate(all="ignore"):
-        assert main(["exp2", "--config", str(path)]) == 0
-    lines = capsys.readouterr().out.splitlines()
+        assert main(["exp2", "--config", str(path), "--out", str(out)]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if ": " in line]
     assert lines == [f"{m}: future_state_auc=nan exact_recovery=false" for m in DEFAULT_METHOD_IDS]
+    with open(out / "results.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["upd_dir_auc"] for row in rows] == ["nan"] * len(DEFAULT_METHOD_IDS)
 
 
 def test_exp2_writes_results_and_traces(capsys, small_cfg, tmp_path):

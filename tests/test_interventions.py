@@ -9,6 +9,7 @@ import pytest
 from statealign.errors import InvalidConfig
 from statealign.interventions import (
     DEFAULT_METHOD_IDS,
+    METHODS,
     InterventionContext,
     apply,
     parse_intervention,
@@ -45,15 +46,14 @@ def make_context(seed=0, mode=DeletionMode.RECENT):
 
 def test_parse_covers_all_shipped_method_ids():
     for mid in DEFAULT_METHOD_IDS:
-        spec = parse_intervention(mid)
-        assert spec.label == mid
+        assert parse_intervention(mid) is METHODS[mid]
 
 
 def test_window_ids_replay_the_last_tau_5tau_and_n_edited_events():
     _, prefix, ctx = make_context(mode=DeletionMode.RANDOM)
     counts = {}
     for mid, n in (("window_tau", CFG.tau), ("window_5tau", 5 * CFG.tau), ("window:33", 33)):
-        counts[mid] = apply(parse_intervention(mid), ctx).cost.replayed_events
+        counts[mid] = apply(mid, ctx).cost.replayed_events
         assert counts[mid] == len(edit_history(prefix[-n:], ctx.deletions))
     assert len(set(counts.values())) == 3
 
@@ -69,7 +69,7 @@ def test_oracle_equals_replay_of_edited_prefix():
     strm, prefix, ctx = make_context()
     edited = edit_history(prefix, ctx.deletions)
     expected = replay(initial_state(6, CFG), edited, CFG)
-    out = apply(parse_intervention("oracle"), ctx)
+    out = apply("oracle", ctx)
     np.testing.assert_array_equal(out.state.w, expected.w)
     assert out.cost.replayed_events == len(edited)
 
@@ -77,7 +77,7 @@ def test_oracle_equals_replay_of_edited_prefix():
 def test_noop_and_retain_ft_return_unchanged_parameters():
     _, _, ctx = make_context()
     for mid in ("noop", "retain_ft"):
-        out = apply(parse_intervention(mid), ctx)
+        out = apply(mid, ctx)
         np.testing.assert_array_equal(out.state.w, ctx.actual.w)
         assert state_key(out.state) == state_key(ctx.actual)
         assert out.cost.replayed_events == 0
@@ -88,7 +88,7 @@ def test_noop_and_retain_ft_return_unchanged_parameters():
 
 def test_mem_reset_clears_memory_and_keeps_parameters():
     _, _, ctx = make_context()
-    out = apply(parse_intervention("mem_reset"), ctx)
+    out = apply("mem_reset", ctx)
     np.testing.assert_array_equal(out.state.w, ctx.actual.w)
     assert len(out.state) == 0
     assert (out.state.src == -1).all()
@@ -99,7 +99,7 @@ def test_pair_drop_removes_exactly_contaminated_pairs():
     _, _, ctx = make_context()
     banned = ctx.deletions.indices
     before = ctx.actual
-    out = apply(parse_intervention("pair_drop"), ctx).state
+    out = apply("pair_drop", ctx).state
     kept = [j for j, src in enumerate(before.src) if src >= 0 and src not in banned]
     assert len(out) == len(kept)
     first = len(out.src) - len(kept)
@@ -112,22 +112,22 @@ def test_pair_drop_removes_exactly_contaminated_pairs():
 
 def test_drop_refill_restarts_parameters_and_memory():
     _, _, ctx = make_context()
-    out = apply(parse_intervention("drop_refill"), ctx)
+    out = apply("drop_refill", ctx)
     np.testing.assert_array_equal(out.state.w, ctx.theta0.w)
     assert len(out.state) == 0
 
 
 def test_window_replay_with_full_coverage_matches_oracle_bitwise():
     strm, prefix, ctx = make_context()
-    oracle = apply(parse_intervention("oracle"), ctx)
-    window = apply(parse_intervention("window:40"), ctx)
+    oracle = apply("oracle", ctx)
+    window = apply("window:40", ctx)
     assert state_key(window.state) == state_key(oracle.state)
 
 
 def test_window_replay_shorter_window_differs_from_oracle():
     strm, prefix, ctx = make_context()
-    oracle = apply(parse_intervention("oracle"), ctx)
-    short = apply(parse_intervention("window:10"), ctx)
+    oracle = apply("oracle", ctx)
+    short = apply("window:10", ctx)
     assert not np.array_equal(short.state.w, oracle.state.w)
     assert short.cost.replayed_events <= 10
 
@@ -136,7 +136,7 @@ def test_param_only_applies_damped_newton_removal():
     from statealign.stream import loss_and_grad, loss_hessian
 
     strm, prefix, ctx = make_context(seed=3)
-    out = apply(parse_intervention("param_only"), ctx)
+    out = apply("param_only", ctx)
 
     w = ctx.actual.w
     deleted = [e for e in prefix if e.index in ctx.deletions.indices]
@@ -159,9 +159,8 @@ def test_param_only_applies_damped_newton_removal():
 def test_all_methods_map_the_counterfactual_future():
     _, _, ctx = make_context()
     for mid in DEFAULT_METHOD_IDS:
-        out = apply(parse_intervention(mid), ctx)
+        out = apply(mid, ctx)
         assert out.cost.wall_clock_seconds >= 0.0
-        assert out.label == mid
 
 
 def test_readme_method_ids_are_the_method_table():

@@ -195,7 +195,7 @@ def test_fit_window_bounds_are_respected():
     assert fit.rho_hat == pytest.approx(0.99, abs=1e-9)
 
 
-def test_fit_floors_dead_points_and_excludes_them_from_r2():
+def test_fit_floors_dead_points_and_stays_finite():
     trace = np.concatenate([0.5 * 0.5 ** np.arange(20), np.zeros(10)])
     fit = fit_decay_rate(trace, k_lo=0, k_hi=29)
     assert np.isfinite(fit.rho_hat)
@@ -208,7 +208,7 @@ def test_fit_rejects_bad_windows():
         fit_decay_rate([1.0, 0.5, 0.25], k_lo=1, k_hi=9)
 
 
-def test_fit_on_dead_trace_flattens_with_undefined_r2():
+def test_fit_on_dead_trace_flattens_to_rho_one():
     # every point sits at the floor: the fit sees a constant
     fit = fit_decay_rate(np.zeros(10), k_lo=0, k_hi=9)
     assert isinstance(fit, DecayFit)

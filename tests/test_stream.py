@@ -1,7 +1,13 @@
 """Stream generation: drift laws, spectra, deletion selection, serialization."""
 
+import math
+import os
 import re
+import struct
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +23,7 @@ from statealign.stream import (
     QuadraticSample,
     Regime,
     StreamConfig,
+    _expit,
     atomic_write,
     edit_history,
     generate_stream,
@@ -293,6 +300,27 @@ def test_logistic_payload_carries_its_ridge_into_the_loss():
     np.testing.assert_allclose(
         loss_hessian(payload, w), loss_hessian(bare, w) + 0.3 * np.eye(4), rtol=1e-14
     )
+
+
+EXPIT_EDGES = [0.0, -0.0, 709.7, -709.7, 709.79, -709.79, -710.0, -745.0, -746.0, 800.0, -800.0]
+EXPIT_EDGES += [1e308, -1e308, math.inf, -math.inf, math.nan]
+
+
+@given(x=st.floats() | st.sampled_from(EXPIT_EDGES))
+@settings(max_examples=500, deadline=None)
+def test_expit_has_the_bits_of_scipy_expit(x):
+    scipy_special = pytest.importorskip("scipy.special")
+    want = float(scipy_special.expit(x))
+    assert struct.pack("<d", _expit(x)) == struct.pack("<d", want)
+
+
+def test_the_cli_loads_no_scipy_module():
+    code = "import sys, statealign.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 GOLDEN_STREAM = GOLDEN_DIR / "stream" / "quadratic.stream"
