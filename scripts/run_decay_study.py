@@ -14,7 +14,7 @@ from pathlib import Path
 
 from statealign.bench import (
     ExperimentConfig,
-    run_experiment1,
+    run_experiment,
     write_results_csv,
     write_trace_csv,
 )
@@ -47,9 +47,10 @@ def main() -> None:
                     condition_number=args.kappa,
                 ),
                 optimizer=StepConfig(eta=0.1, tau=tau),
+                interventions=("noop",),
                 seeds=(seed,),
             )
-            res = run_experiment1(cfg)
+            res = run_experiment(cfg)
             results.append(res)
             row = res.method_row("noop")
             write_trace_csv(

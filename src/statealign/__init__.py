@@ -11,8 +11,7 @@ from .bench import (
     aggregate,
     experiment1_defaults,
     experiment2_defaults,
-    run_experiment1,
-    run_experiment2,
+    run_experiment,
     run_grid,
 )
 from .certify import (

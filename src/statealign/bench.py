@@ -65,9 +65,9 @@ def _check_seeds(seeds: tuple[int, ...]) -> None:
         raise InvalidConfig(f"seed must be >= 0, got {seeds[0]}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """One benchmark run: a stream, an update rule, and measurement knobs."""
+    """One benchmark run, checked when built: stream, update rule, methods, seed, knobs."""
 
     stream: StreamConfig = field(default_factory=StreamConfig)
     optimizer: StepConfig = field(default_factory=StepConfig)
@@ -79,8 +79,10 @@ class ExperimentConfig:
     privacy_epsilon: float = 1.0
     privacy_delta: float = 0.05
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
-        self.stream.validate()
         require_finite(self)
         if self.probe_count < 1:
             raise InvalidConfig("probe_count must be >= 1")
@@ -301,21 +303,18 @@ def _summarize_method(
     )
 
 
-def prepare_run(
-    cfg: ExperimentConfig, seed: int
-) -> tuple[EventStream, InterventionContext, OptimizerState]:
+def prepare_run(cfg: ExperimentConfig) -> tuple[EventStream, InterventionContext, OptimizerState]:
     """The pre-deletion protocol: stream, training, deletions, oracle.
 
-    Generates the stream, trains from the global initial state on the
-    prefix up to t_del and selects the deletion set at the trained state.
+    Generates the stream on the config's seed, trains from the global
+    initial state on the prefix up to t_del and selects the deletion set.
     Returns the stream, the context every intervention receives (theta0,
     the unedited prefix, the trained state, the deletions and the step
     config) and the oracle state at t_del, which the `oracle` row gives.
     """
-    cfg.validate()
     scfg = cfg.stream
     step_cfg = cfg.optimizer
-    strm = generate_stream(scfg, seed)
+    strm = generate_stream(scfg, cfg.seeds[0])
     theta0 = initial_state(scfg.dimension, step_cfg)
     prefix = strm.prefix(scfg.deletion_time)
     actual = replay(theta0, prefix, step_cfg)
@@ -328,10 +327,11 @@ def prepare_run(
     return strm, ctx, METHODS["oracle"](ctx)[0]
 
 
-def _run_single(
-    cfg: ExperimentConfig, seed: int, method_ids: tuple[str, ...], keep_traces: bool
-) -> RunResult:
-    strm, ctx, oracle0 = prepare_run(cfg, seed)
+def run_experiment(cfg: ExperimentConfig, keep_traces: bool = True) -> RunResult:
+    """One run on the config's seed with every method it names; see the module docstring."""
+    strm, ctx, oracle0 = prepare_run(cfg)
+    seed = cfg.seeds[0]
+    method_ids = cfg.interventions
     scfg = cfg.stream
     step_cfg = ctx.step_cfg
     tau = step_cfg.tau
@@ -373,7 +373,9 @@ def _run_single(
             probes=probes,
             memory_weight=cfg.memory_weight,
         )
-        if rho_emp < 1.0:
+        if np.isnan(rho_emp):
+            violations.append("contractive-updates: rho_emp is nan (a contraction trial diverged)")
+        elif rho_emp < 1.0:
             for row in rows:
                 row.alpha_bound = certify.deviation_bound(
                     certify.BoundInputs(
@@ -418,16 +420,6 @@ def _run_single(
     )
 
 
-def run_experiment1(cfg: ExperimentConfig, keep_traces: bool = True) -> RunResult:
-    """Actual-versus-counterfactual decay study; no intervention applied."""
-    return _run_single(cfg, cfg.seeds[0], ("noop",), keep_traces)
-
-
-def run_experiment2(cfg: ExperimentConfig, keep_traces: bool = True) -> RunResult:
-    """Full intervention comparison on one seed."""
-    return _run_single(cfg, cfg.seeds[0], tuple(cfg.interventions), keep_traces)
-
-
 # ---------------------------------------------------------------------------
 # Grid running
 # ---------------------------------------------------------------------------
@@ -447,20 +439,6 @@ def grid_axis_field(name: str) -> tuple[str, str, type]:
     raise InvalidAxis(f"unknown grid axis {name!r}")
 
 
-def _apply_axis(cfg: ExperimentConfig, name: str, value) -> ExperimentConfig:
-    if name == "seed":
-        seeds = (int(value),)
-        _check_seeds(seeds)
-        return replace(cfg, seeds=seeds)
-    part, target, kind = grid_axis_field(name)
-    if issubclass(kind, Enum):
-        try:
-            value = kind(value)
-        except ValueError as exc:
-            raise InvalidAxis(f"bad value {value!r} for grid axis {name!r}") from exc
-    return replace(cfg, **{part: replace(getattr(cfg, part), **{target: value})})
-
-
 def derive_point_seed(base_seed: int, point: dict) -> int:
     """Stable per-point seed from the base seed and non-seed axis values.
 
@@ -469,6 +447,7 @@ def derive_point_seed(base_seed: int, point: dict) -> int:
     """
     if "seed" in point:
         base_seed = int(point["seed"])
+        _check_seeds((base_seed,))
     items = sorted((k, str(v)) for k, v in point.items() if k != "seed")
     if not items:
         return base_seed
@@ -488,10 +467,33 @@ def grid_points(axes: dict[str, list]) -> list[dict]:
     return out
 
 
-def _grid_worker(job: tuple[ExperimentConfig, int]) -> RunResult:
-    """One grid point: its config with the axes applied, and its seed."""
-    cfg, seed = job
-    return _run_single(cfg, seed, tuple(cfg.interventions), keep_traces=False)
+def point_config(base: ExperimentConfig, point: dict) -> ExperimentConfig:
+    """One grid point's config: its axes, set in one `replace` per part, and its seed.
+
+    Only the point as a whole, not each axis on its own, must be valid.
+    """
+    parts: dict[str, dict] = {"stream": {}, "optimizer": {}}
+    for name, value in point.items():
+        if name == "seed":
+            continue
+        part, target, kind = grid_axis_field(name)
+        if issubclass(kind, Enum):
+            try:
+                value = kind(value)
+            except ValueError as exc:
+                raise InvalidAxis(f"bad value {value!r} for grid axis {name!r}") from exc
+        parts[part][target] = value
+    return replace(
+        base,
+        stream=replace(base.stream, **parts["stream"]),
+        optimizer=replace(base.optimizer, **parts["optimizer"]),
+        seeds=(derive_point_seed(base.seeds[0], point),),
+    )
+
+
+def _grid_worker(cfg: ExperimentConfig) -> RunResult:
+    """One grid point, run from its config."""
+    return run_experiment(cfg, keep_traces=False)
 
 
 def run_grid(
@@ -500,25 +502,19 @@ def run_grid(
     """Run every point of the axis product; results follow point order.
 
     Each point gets its own derived seed so results are independent of
-    worker count and completion order. Every point's config is built and
-    validated before any point runs.
+    worker count and completion order. Every point's config is built, and
+    so checked, before any point runs.
     """
     if workers < 1:
         raise InvalidConfig(f"workers must be >= 1, got {workers}")
     for name, values in axes.items():
         if not values:
             raise InvalidAxis(f"grid axis {name!r} has no values")
-    jobs = []
-    for point in grid_points(axes):
-        cfg = base
-        for name, value in point.items():
-            cfg = _apply_axis(cfg, name, value)
-        cfg.validate()
-        jobs.append((cfg, derive_point_seed(base.seeds[0], point)))
-    if workers <= 1 or len(jobs) == 1:
-        return [_grid_worker(j) for j in jobs]
-    with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-        return list(pool.map(_grid_worker, jobs))
+    configs = [point_config(base, point) for point in grid_points(axes)]
+    if workers <= 1 or len(configs) == 1:
+        return [_grid_worker(cfg) for cfg in configs]
+    with ProcessPoolExecutor(max_workers=min(workers, len(configs))) as pool:
+        return list(pool.map(_grid_worker, configs))
 
 
 # ---------------------------------------------------------------------------

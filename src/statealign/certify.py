@@ -148,10 +148,10 @@ def contraction_ratios(
     """One-step expansion ratios of the update map along a replayed history.
 
     Each trial perturbs the state reached after a sampled number of events
-    and steps both copies with the next event; the ratio is the combined
-    state error (`metrics.state_gaps` on a two-lane bank) after over
-    before, its memory term measured on the (d, count) probe matrix, which
-    also fixes the dimension d.
+    and steps both copies, the two lanes of one LaneBank, with the next
+    event; the ratio is the combined state error (`metrics.state_gaps` on
+    that bank) after over before, its memory term measured on the
+    (d, count) probe matrix, which also fixes the dimension d.
     """
     if not history:
         raise InvalidConfig("contraction estimation needs at least one event")
@@ -168,14 +168,13 @@ def contraction_ratios(
         while consumed < pos:
             state = step(state, history[consumed], cfg)
             consumed += 1
-        pair = [state, _perturbed_copy(state, rng, perturb_memory)]
+        bank = LaneBank([state, _perturbed_copy(state, rng, perturb_memory)])
         # E_theta of the perturbed lane against the base lane.
-        before = state_gaps(LaneBank(pair), probes, memory_weight)[2][1]
+        before = state_gaps(bank, probes, memory_weight)[2][1]
         if before == 0.0:
             continue
-        after = state_gaps(
-            LaneBank([step(st, history[pos], cfg) for st in pair]), probes, memory_weight
-        )[2][1]
+        bank.move(history[pos], cfg)
+        after = state_gaps(bank, probes, memory_weight)[2][1]
         ratios.append(float(after / before))
     if not ratios:
         raise InvalidConfig("all contraction trials were degenerate")
@@ -191,15 +190,9 @@ def empirical_contraction(
     memory_weight: float = 1.0,
     perturb_memory: bool = True,
 ) -> float:
-    """Worst observed one-step expansion ratio; >= 1 flags non-contraction."""
-    return max(
-        contraction_ratios(
-            history,
-            cfg,
-            trials,
-            seed,
-            probes=probes,
-            memory_weight=memory_weight,
-            perturb_memory=perturb_memory,
-        )
-    )
+    """Worst observed one-step expansion ratio; >= 1 flags non-contraction.
+
+    nan when any trial's ratio is nan (a diverged trial), wherever it falls.
+    """
+    ratios = contraction_ratios(history, cfg, trials, seed, probes, memory_weight, perturb_memory)
+    return float(np.max(ratios))

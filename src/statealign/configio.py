@@ -67,11 +67,9 @@ def load_config(path: str | Path, base: ExperimentConfig | None = None) -> Exper
     """Build an ExperimentConfig from a file, on top of `base` defaults."""
     parser = _read(path)
     cfg = base if base is not None else ExperimentConfig()
-    cfg = replace(
+    return replace(
         cfg,
         stream=replace(cfg.stream, **_section_kwargs(parser, "stream", StreamConfig)),
         optimizer=replace(cfg.optimizer, **_section_kwargs(parser, "optimizer", StepConfig)),
         **_section_kwargs(parser, "experiment", ExperimentConfig),
     )
-    cfg.validate()
-    return cfg

@@ -135,7 +135,8 @@ class StreamConfig:
     beta_t = beta_0 + label_drift * sin(2 pi t / P_beta) v.
 
     center_scale scales the random draw of a_0 (quadratic) and beta_0
-    (logistic); zero pins both at the origin.
+    (logistic); zero pins both at the origin. A config checks itself when
+    it is built: an invalid one raises InvalidConfig.
     """
 
     regime: Regime = Regime.QUADRATIC
@@ -156,6 +157,9 @@ class StreamConfig:
     deletion_size: int = 5
     deletion_time: int = 500
     horizon: int = 4500
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> None:
         require_finite(self)
@@ -183,6 +187,8 @@ class StreamConfig:
             raise InvalidConfig("deletion_size must be >= 0")
         if not 1 <= self.deletion_time <= self.length:
             raise InvalidConfig("deletion_time must lie in [1, length]")
+        if self.horizon < 0:
+            raise InvalidConfig(f"horizon must be >= 0, got {self.horizon}")
         if self.deletion_time + self.horizon > self.length:
             raise InvalidConfig("deletion_time + horizon must not exceed length")
         if self.deletion_size > self.deletion_time:
@@ -236,7 +242,6 @@ def _curvature_alpha(cfg: StreamConfig, t: int) -> float:
 
 def gen_quadratic_stream(config: StreamConfig, seed: int) -> EventStream:
     """Insert-only quadratic stream of `length` events at times 1..T."""
-    config.validate()
     d = config.dimension
     rng = np.random.default_rng(seed)
 
@@ -282,7 +287,6 @@ def _expit(x: float) -> float:
 
 def gen_logistic_stream(config: StreamConfig, seed: int) -> EventStream:
     """Insert-only logistic stream; labels are +1/-1 drawn from the teacher."""
-    config.validate()
     d = config.dimension
     rng = np.random.default_rng(seed)
 
@@ -441,9 +445,7 @@ def _config_from_header(line: str) -> StreamConfig:
     if len(pairs) != len(items) or sorted(pairs) != sorted(f.name for f in fields(StreamConfig)):
         raise ValueError("the config line must set each StreamConfig field once as key=value")
     kinds = typing.get_type_hints(StreamConfig)
-    config = StreamConfig(**{k: parse_value(pairs[k], kind, k) for k, kind in kinds.items()})
-    config.validate()
-    return config
+    return StreamConfig(**{k: parse_value(pairs[k], kind, k) for k, kind in kinds.items()})
 
 
 def _payload_blob(payload: SamplePayload) -> str:

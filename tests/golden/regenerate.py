@@ -20,7 +20,7 @@ from pathlib import Path
 from statealign.bench import (
     ExperimentConfig,
     aggregate,
-    run_experiment2,
+    run_experiment,
     run_grid,
     write_results_csv,
     write_results_json,
@@ -104,7 +104,7 @@ def _blank_wall_clock(results) -> None:
 
 def write_single(cfg: ExperimentConfig, out: Path, require_contractive: bool) -> None:
     """results.csv, results.json and every trace_<method>.csv of one exp2 run."""
-    res = run_experiment2(cfg)
+    res = run_experiment(cfg)
     if require_contractive and not res.rho_emp < 1.0:
         raise RuntimeError(f"golden run is not contractive: rho_emp={res.rho_emp!r}")
     _blank_wall_clock([res])

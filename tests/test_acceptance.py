@@ -14,7 +14,7 @@ import pytest
 from statealign.bench import (
     ExperimentConfig,
     grid_points,
-    run_experiment2,
+    run_experiment,
     run_grid,
     write_results_csv,
 )
@@ -84,7 +84,7 @@ def test_criterion_02_deep_window_replay_recovers_recent_deletions_exactly():
                 contraction_trials=0,
                 seeds=(seed,),
             )
-            res = run_experiment2(cfg, keep_traces=False)
+            res = run_experiment(cfg, keep_traces=False)
             auc = res.method_row("window_5tau").future_state_auc
             worst = max(worst, auc)
             assert auc <= 1e-10
@@ -102,7 +102,7 @@ def test_criterion_03_recent_deletions_leave_direct_memory_within_tau():
             contraction_trials=0,
             seeds=(seed,),
         )
-        res = run_experiment2(cfg)
+        res = run_experiment(cfg)
         noop = res.method_row("noop")
         assert noop.direct_mass_at_del == 5
         assert noop.clearance_time is not None
@@ -126,7 +126,7 @@ def test_criterion_04_random_and_ranked_deletions_persist_indirectly():
                 contraction_trials=0,
                 seeds=(seed,),
             )
-            res = run_experiment2(cfg, keep_traces=False)
+            res = run_experiment(cfg, keep_traces=False)
             noop = res.method_row("noop")
             assert noop.direct_mass_at_del == 0
             assert noop.future_state_auc > threshold
@@ -169,7 +169,7 @@ def test_criterion_06_deviation_bound_covers_noop_traces():
             contraction_trials=40,
             seeds=(seed,),
         )
-        res = run_experiment2(cfg)
+        res = run_experiment(cfg)
         rho = res.rho_emp
         rhos.append(round(rho, 3))
         if not rho < 1.0:
@@ -210,8 +210,10 @@ def test_criterion_07_noise_calibration_matches_high_precision_reference():
 
 
 def test_criterion_08_window_replay_ordering_over_a_27_point_grid():
+    # deletion_time = 100 only makes the base a valid config; the t_del
+    # axis sets it at every point.
     base = ExperimentConfig(
-        stream=_quadratic(length=500, horizon=400),
+        stream=_quadratic(length=500, deletion_time=100, horizon=400),
         optimizer=StepConfig(eta=0.1, tau=10),
         interventions=("oracle", "noop", "window_tau", "window_5tau"),
         contraction_trials=0,

@@ -20,8 +20,7 @@ from statealign.bench import (
     derive_point_seed,
     grid_points,
     result_rows,
-    run_experiment1,
-    run_experiment2,
+    run_experiment,
     run_grid,
     write_results_csv,
     write_results_json,
@@ -57,7 +56,7 @@ def small_config(**overrides) -> ExperimentConfig:
 
 
 def test_oracle_row_is_exactly_zero_and_noop_ratio_is_one():
-    res = run_experiment2(small_config())
+    res = run_experiment(small_config())
     oracle = res.method_row("oracle")
     assert oracle.initial_param_err == 0.0
     assert oracle.initial_mem_err == 0.0
@@ -76,15 +75,17 @@ def test_oracle_row_is_exactly_zero_and_noop_ratio_is_one():
 
 
 def test_experiment1_compares_actual_to_counterfactual_only():
-    res = run_experiment1(small_config(interventions=("oracle", "noop", "mem_reset")))
+    # Experiment 1 is run_experiment on a config whose interventions are ("noop",);
+    # `bench exp1` sets that on whatever config it loads.
+    res = run_experiment(small_config(interventions=("noop",)))
     assert [m.method for m in res.methods] == ["noop"]
-    assert "noop" in res.traces
+    assert list(res.traces) == ["noop"]
     trace = res.traces["noop"]
     assert len(trace) == small_config().stream.horizon + 1
 
 
 def test_recent_deletions_clear_after_tau_accepted_pushes():
-    res = run_experiment2(small_config())
+    res = run_experiment(small_config())
     noop = res.method_row("noop")
     trace = res.traces["noop"]
     assert noop.direct_mass_at_del == 3
@@ -106,21 +107,21 @@ def test_clearance_is_none_when_horizon_is_too_short():
         contraction_trials=0,
         seeds=(7,),
     )
-    res = run_experiment2(cfg)
+    res = run_experiment(cfg)
     assert res.method_row("noop").clearance_time is None
 
 
 def test_same_seed_reruns_share_future_and_probe_hashes():
-    a = run_experiment2(small_config())
-    b = run_experiment2(small_config())
+    a = run_experiment(small_config())
+    b = run_experiment(small_config())
     assert a.future_hash == b.future_hash
     assert a.probe_hash == b.probe_hash
-    c = run_experiment2(small_config(seeds=(8,)))
+    c = run_experiment(small_config(seeds=(8,)))
     assert c.future_hash != a.future_hash
 
 
 def test_contraction_feeds_alpha_bound_and_sigma():
-    res = run_experiment2(small_config(contraction_trials=10, memory_weight=0.0))
+    res = run_experiment(small_config(contraction_trials=10, memory_weight=0.0))
     assert math.isfinite(res.rho_emp)
     noop = res.method_row("noop")
     if res.rho_emp < 1.0:
@@ -132,7 +133,7 @@ def test_contraction_feeds_alpha_bound_and_sigma():
 
 def test_noop_trace_above_the_contraction_bound_is_a_violation(monkeypatch):
     monkeypatch.setattr(bench.certify, "empirical_contraction", lambda *args, **kwargs: 0.5)
-    res = run_experiment2(small_config(contraction_trials=1))
+    res = run_experiment(small_config(contraction_trials=1))
     errs = res.traces["noop"].state_err
     bound, first = errs[0], None
     for k in range(1, len(errs)):
@@ -144,6 +145,28 @@ def test_noop_trace_above_the_contraction_bound_is_a_violation(monkeypatch):
     assert res.assumption_violations == [
         f"contractive-updates: NoOp trace exceeds bound at k={first}"
     ]
+
+
+def test_a_diverged_contraction_trial_makes_rho_emp_nan_and_a_violation():
+    """17 of the 25 trial ratios are nan here, and a finite one comes first."""
+    cfg = small_config(
+        stream=StreamConfig(
+            dimension=10, length=600, deletion_time=200, horizon=400, condition_number=1e6
+        ),
+        optimizer=StepConfig(eta=5.0, tau=5),
+        probe_count=32,
+        contraction_trials=25,
+        seeds=(0,),
+    )
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        res = run_experiment(cfg)
+    assert math.isnan(res.rho_emp)
+    assert res.assumption_violations == [
+        "contractive-updates: rho_emp is nan (a contraction trial diverged)"
+    ]
+    for row in res.methods:
+        assert math.isnan(row.alpha_bound) and math.isnan(row.sigma_cert)
 
 
 def test_phase_fit_reads_only_a_too_short_interval_as_nan(monkeypatch):
@@ -165,7 +188,7 @@ def test_phase_fit_reads_only_a_too_short_interval_as_nan(monkeypatch):
 
 
 def test_oracle_intervention_reproduces_the_oracle_state_bit_for_bit():
-    _, ctx, oracle0 = bench.prepare_run(small_config(), 7)
+    _, ctx, oracle0 = bench.prepare_run(replace(small_config(), seeds=(7,)))
     oracle = apply_intervention("oracle", ctx)
     assert state_key(oracle.state) == state_key(oracle0)
 
@@ -180,7 +203,7 @@ def test_identical_start_states_share_one_propagation(monkeypatch):
 
     monkeypatch.setattr(metrics, "two_loop", counting_two_loop)
     cfg = small_config(interventions=("oracle", "noop", "retain_ft"))
-    res = run_experiment2(cfg)
+    res = run_experiment(cfg)
     assert lanes == [2] * (cfg.stream.horizon + 1)
     assert res.traces["retain_ft"] is res.traces["noop"]
     assert res.method_row("oracle").future_state_auc == 0.0
@@ -270,7 +293,7 @@ def test_propagate_lanes_matches_the_per_lane_loop_bit_for_bit(
         stream=replace(cfg.stream, **stream_overrides),
         optimizer=replace(cfg.optimizer, **optimizer_overrides),
     )
-    strm, ctx, oracle0 = bench.prepare_run(cfg, 7)
+    strm, ctx, oracle0 = bench.prepare_run(replace(cfg, seeds=(7,)))
     starts = [apply_intervention(m, ctx).state for m in DEFAULT_METHOD_IDS]
     future = strm.future(cfg.stream.deletion_time, cfg.stream.horizon)
     probes = make_probes(cfg.stream.dimension, cfg.probe_count, 7)
@@ -290,7 +313,7 @@ def test_propagate_lanes_matches_the_per_lane_loop_bit_for_bit(
 
 def test_a_start_state_one_ulp_from_the_oracle_gets_its_own_lane():
     cfg = small_config()
-    strm, ctx, oracle0 = bench.prepare_run(cfg, 7)
+    strm, ctx, oracle0 = bench.prepare_run(replace(cfg, seeds=(7,)))
     nudged = oracle0.clone()
     nudged.w[0] = np.nextafter(nudged.w[0], np.inf)
     future = strm.future(cfg.stream.deletion_time, cfg.stream.horizon)
@@ -305,7 +328,7 @@ def test_a_start_state_one_ulp_from_the_oracle_gets_its_own_lane():
 
 def test_pair_source_is_part_of_the_lane_key():
     cfg = small_config()
-    strm, ctx, oracle0 = bench.prepare_run(cfg, 7)
+    strm, ctx, oracle0 = bench.prepare_run(replace(cfg, seeds=(7,)))
     deleted, kept = ctx.actual.clone(), ctx.actual.clone()
     deleted.src[-1] = min(ctx.deletions.indices)
     kept.src[-1] = cfg.stream.length
@@ -340,7 +363,7 @@ def test_derive_point_seed_is_stable_and_separates_points():
 
 
 def test_degenerate_grid_matches_direct_run():
-    direct = run_experiment2(small_config(), keep_traces=False)
+    direct = run_experiment(small_config(), keep_traces=False)
     via_grid = run_grid(small_config(), {}, workers=1)
     assert len(via_grid) == 1
     assert via_grid[0].seed == direct.seed
@@ -374,7 +397,7 @@ def test_grid_rejects_unknown_axis_and_empty_values():
 
 def test_grid_checks_every_axis_value_before_any_point_runs(monkeypatch):
     ran = []
-    monkeypatch.setattr(bench, "_run_single", lambda *args, **kwargs: ran.append(args))
+    monkeypatch.setattr(bench, "run_experiment", lambda *args, **kwargs: ran.append(args))
     with pytest.raises(InvalidAxis, match="cubic"):
         run_grid(small_config(), {"regime": ["quadratic", "cubic"]}, workers=1)
     assert ran == []
@@ -397,7 +420,7 @@ def test_grid_pool_has_no_more_workers_than_points(monkeypatch):
             return map(fn, jobs)
 
     monkeypatch.setattr(bench, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(bench, "_grid_worker", lambda job: job[0].optimizer.tau)
+    monkeypatch.setattr(bench, "_grid_worker", lambda cfg: cfg.optimizer.tau)
     assert run_grid(small_config(), {"tau": [3, 5]}, workers=64) == [3, 5]
     assert len(run_grid(small_config(), {"kappa": [2.0, 8.0], "tau": [3, 5]}, workers=3)) == 4
     assert made == [2, 3]
@@ -414,21 +437,37 @@ def test_grid_rejects_workers_below_one_before_any_point_runs(monkeypatch, worke
 
 def test_grid_rejects_a_negative_seed_before_any_point_runs(monkeypatch):
     ran = []
-    monkeypatch.setattr(bench, "_run_single", lambda *args, **kwargs: ran.append(args))
-    with pytest.raises(InvalidConfig, match="seed must be >= 0, got -4"):
-        run_grid(small_config(), {"seed": [1, -4]}, workers=1)
+    monkeypatch.setattr(bench, "run_experiment", lambda *args, **kwargs: ran.append(args))
+    # With another axis the point's seed is a hash, which would hide the bad seed.
+    for axes in ({"seed": [1, -4]}, {"seed": [1, -4], "tau": [3, 5]}):
+        with pytest.raises(InvalidConfig, match="seed must be >= 0, got -4"):
+            run_grid(small_config(), axes, workers=1)
     assert ran == []
 
 
 def test_grid_validates_every_point_before_any_point_runs(monkeypatch):
     ran = []
-    monkeypatch.setattr(bench, "_run_single", lambda *args, **kwargs: ran.append(args))
+    monkeypatch.setattr(bench, "run_experiment", lambda *args, **kwargs: ran.append(args))
     cfg = small_config()
     cfg = replace(cfg, stream=replace(cfg.stream, length=300, deletion_time=100))
-    # horizon = 150 is a valid point; horizon = 250 runs past the stream's end.
-    with pytest.raises(InvalidConfig, match="deletion_time \\+ horizon must not exceed length"):
-        run_grid(cfg, {"horizon": [150, 250]}, workers=1)
+    # horizon = 150 is a valid point; 250 runs past the stream's end, and -5 is negative.
+    for bad, message in (
+        (250, "deletion_time \\+ horizon must not exceed length"),
+        (-5, "horizon must be >= 0, got -5"),
+    ):
+        with pytest.raises(InvalidConfig, match=message):
+            run_grid(cfg, {"horizon": [150, bad]}, workers=1)
     assert ran == []
+
+
+def test_grid_point_that_is_valid_only_as_a_whole_runs():
+    """horizon = 300 on the base length of 200 is invalid; with length = 400 it is not."""
+    cfg = small_config()
+    cfg = replace(cfg, stream=replace(cfg.stream, length=200, deletion_time=50, horizon=100))
+    (result,) = run_grid(cfg, {"horizon": [300], "length": [400]}, workers=1)
+    assert result.horizon == 300
+    assert result.seed == derive_point_seed(7, {"horizon": 300, "length": 400})
+    assert [row.method for row in result.methods] == ["oracle", "noop"]
 
 
 def test_seed_axis_overrides_base_seed():
@@ -535,7 +574,7 @@ def test_aggregate_rejects_empty_input():
 
 
 def test_results_csv_columns_and_cell_formats(tmp_path):
-    res = run_experiment2(small_config(), keep_traces=False)
+    res = run_experiment(small_config(), keep_traces=False)
     path = tmp_path / "results.csv"
     write_results_csv([res], str(path))
     lines = path.read_text().splitlines()
@@ -565,7 +604,7 @@ def test_results_csv_columns_and_cell_formats(tmp_path):
 
 
 def test_trace_csv_has_one_row_per_step(tmp_path):
-    res = run_experiment2(small_config())
+    res = run_experiment(small_config())
     path = tmp_path / "trace_noop.csv"
     write_trace_csv(res.traces["noop"], str(path))
     lines = path.read_text().splitlines()
@@ -580,7 +619,7 @@ def test_trace_csv_has_one_row_per_step(tmp_path):
 
 
 def test_summary_csv_round_trip(tmp_path):
-    res = run_experiment2(small_config(), keep_traces=False)
+    res = run_experiment(small_config(), keep_traces=False)
     summary = aggregate([res])
     path = tmp_path / "summary.csv"
     write_summary_csv(summary, str(path))
@@ -592,7 +631,7 @@ def test_summary_csv_round_trip(tmp_path):
 def test_results_json_carries_run_level_fields(tmp_path):
     import json
 
-    res = run_experiment2(small_config(), keep_traces=False)
+    res = run_experiment(small_config(), keep_traces=False)
     path = tmp_path / "results.json"
     write_results_json([res], str(path))
     docs = json.loads(path.read_text())
@@ -616,8 +655,8 @@ def test_rerun_is_byte_identical_outside_timing_columns(tmp_path):
         return "\n".join(out)
 
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_results_csv([run_experiment2(small_config(), keep_traces=False)], str(p1))
-    write_results_csv([run_experiment2(small_config(), keep_traces=False)], str(p2))
+    write_results_csv([run_experiment(small_config(), keep_traces=False)], str(p1))
+    write_results_csv([run_experiment(small_config(), keep_traces=False)], str(p2))
     assert masked_csv(p1) == masked_csv(p2)
 
 

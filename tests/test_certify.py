@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from statealign import certify
 from statealign.certify import (
     BoundInputs,
     Certificate,
@@ -197,6 +198,16 @@ def test_empirical_contraction_is_max_of_ratios():
     top = empirical_contraction(history, cfg, trials=5, seed=3, probes=PROBES_1D,
                                 memory_weight=0.0, perturb_memory=False)
     assert top == max(ratios)
+
+
+@pytest.mark.parametrize(
+    "ratios", [[0.5, math.nan, 2.0], [math.nan, 0.5, 2.0], [0.5, 2.0, math.nan]]
+)
+def test_empirical_contraction_is_nan_wherever_a_nan_trial_falls(monkeypatch, ratios):
+    monkeypatch.setattr(certify, "contraction_ratios", lambda *args, **kwargs: ratios)
+    history = _static_history(h=2.0, length=24)
+    top = empirical_contraction(history, StepConfig(eta=0.3, tau=4), 3, 0, PROBES_1D)
+    assert math.isnan(top)
 
 
 def test_contraction_rejects_insert_free_history_and_bad_trials():

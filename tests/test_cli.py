@@ -274,12 +274,30 @@ def test_exp2_writes_results_and_traces(capsys, small_cfg, tmp_path):
     assert len((out / "trace_noop.csv").read_text().splitlines()) == 22
 
 
-def test_exp1_reports_noop_only(capsys, small_cfg, tmp_path):
+def test_exp1_reports_noop_only(capsys, tmp_path):
+    path = tmp_path / "exp.ini"
+    path.write_text(SMALL.replace("= oracle, noop", "= oracle, noop, mem_reset"))
     out = tmp_path / "runs"
-    assert main(["exp1", "--config", str(small_cfg), "--out", str(out)]) == 0
+    assert main(["exp1", "--config", str(path), "--out", str(out)]) == 0
     stdout = capsys.readouterr().out
     assert "noop:" in stdout
-    assert "oracle:" not in stdout
+    assert "oracle:" not in stdout and "mem_reset:" not in stdout
+    with open(out / "results.csv", newline="") as fh:
+        assert [row["method"] for row in csv.DictReader(fh)] == ["noop"]
+    assert sorted(p.name for p in out.iterdir()) == ["results.csv", "trace_noop.csv"]
+    # 21 future steps recorded: k = 0..20
+    assert len((out / "trace_noop.csv").read_text().splitlines()) == 22
+
+
+def test_negative_horizon_exits_1_before_any_work(capsys, tmp_path):
+    path = tmp_path / "exp.ini"
+    path.write_text(
+        "[stream]\ndimension = 5\nlength = 200\ndeletion_time = 100\ndeletion_size = 3\n"
+        "horizon = -20\n\n[optimizer]\ntau = 4\n\n[experiment]\ninterventions = oracle, noop\n"
+    )
+    assert main(["exp2", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "config error: horizon must be >= 0, got -20\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_json_format_writes_results_json(small_cfg, tmp_path):

@@ -52,7 +52,10 @@ def edit_dir(tmp_path_factory):
 @given(which=st.integers(min_value=0, max_value=1), edits=EDITS)
 def test_edited_stream_file_reads_or_raises_a_statealign_error(edit_dir, which, edits):
     path = edit_dir / "edited.stream"
-    path.write_text(_edited(STREAMS[which].read_text(), edits), encoding="utf-8")
+    # A lone surrogate (st.characters() draws them) is written as its three UTF-8-style bytes.
+    path.write_text(
+        _edited(STREAMS[which].read_text(), edits), encoding="utf-8", errors="surrogatepass"
+    )
     try:
         read_stream(str(path))
     except StateAlignError:

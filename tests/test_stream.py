@@ -177,6 +177,10 @@ def test_config_validation_rejects_bad_shapes():
     with pytest.raises(InvalidConfig, match=r"condition_number \* mu must be finite"):
         StreamConfig(condition_number=1e308, mu=10.0).validate()
     StreamConfig(condition_number=1e307, mu=10.0).validate()
+    # Checked when built: a negative horizon cannot be constructed; zero can.
+    with pytest.raises(InvalidConfig, match="horizon must be >= 0, got -20"):
+        StreamConfig(length=200, deletion_time=100, horizon=-20)
+    StreamConfig(length=200, deletion_time=100, horizon=0)
 
 
 # -- deletion selection ------------------------------------------------------
