@@ -63,9 +63,7 @@ from .stream import (
     generate_stream,
     loss_and_grad,
     loss_hessian,
-    read_stream,
     select_deletion_set,
-    write_stream,
 )
 
 __version__ = "0.1.0"

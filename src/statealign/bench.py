@@ -10,9 +10,11 @@ aggregator reduces rows to per-method summaries.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from enum import Enum
@@ -47,7 +49,6 @@ from .stream import (
     LogisticSample,
     QuadraticSample,
     StreamConfig,
-    atomic_write,
     generate_stream,
     require_finite,
     select_deletion_set,
@@ -605,6 +606,23 @@ def aggregate(results: list[RunResult]) -> list[dict]:
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
+
+
+def atomic_write(path: str, text: str) -> None:
+    """Write ASCII text to a temp file next to path, then rename it over path.
+
+    The temp name is unique to the process and gets the mode a plain
+    open(path, "w") gives; a failed write removes it and keeps the old file.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="ascii") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def _format_cell(value) -> str:

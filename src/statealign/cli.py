@@ -4,9 +4,8 @@ Subcommands:
     bench exp1        actual-versus-counterfactual decay run
     bench exp2        full intervention comparison run
     bench grid        axis-product sweep with derived per-point seeds
-    bench gen-stream  write a synthetic stream to a line-record file
     bench certify     calibrate the Gaussian noise level for a deviation
-    bench inspect     summarize a stream or apply one intervention
+    bench inspect     train to the deletion and apply one intervention
 
 Exit codes: 0 success, 1 configuration error, 2 runtime failure (any
 error that is not a configuration error, reported in one stderr line).
@@ -25,7 +24,6 @@ from . import bench, certify, configio, metrics
 from .errors import InvalidConfig, StateAlignError
 from .interventions import apply as apply_intervention
 from .olbfgs import LaneBank
-from .stream import generate_stream, read_stream, write_stream
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -50,19 +48,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_run_args(grid)
     grid.add_argument("--workers", type=int, default=1)
 
-    gen = sub.add_parser("gen-stream", help="write a synthetic stream file")
-    gen.add_argument("--config", type=str, default=None)
-    gen.add_argument("--seed", type=int, default=None)
-    gen.add_argument("--out", type=str, required=True, help="output stream file")
-
     cert = sub.add_parser("certify", help="noise level for a deviation bound")
     cert.add_argument("--alpha", type=float, required=True)
     cert.add_argument("--eps", type=float, required=True)
     cert.add_argument("--delta", type=float, required=True)
     cert.add_argument("--beta", type=float, default=0.0)
 
-    insp = sub.add_parser("inspect", help="summarize a stream or one intervention")
-    insp.add_argument("--stream", type=str, default=None, help="stream file to summarize")
+    insp = sub.add_parser("inspect", help="train to the deletion and apply one intervention")
     insp.add_argument("--config", type=str, default=None)
     insp.add_argument("--seed", type=int, default=None)
     insp.add_argument("--intervention", type=str, default=None, help="method id to apply")
@@ -140,14 +132,6 @@ def _cmd_grid(args) -> int:
     return EXIT_OK
 
 
-def _cmd_gen_stream(args) -> int:
-    cfg = _load_cfg(args, bench.experiment2_defaults())
-    strm = generate_stream(cfg.stream, cfg.seeds[0])
-    write_stream(strm, args.out)
-    print(f"wrote {len(strm.events)} events to {args.out}")
-    return EXIT_OK
-
-
 def _cmd_certify(args) -> int:
     cert = certify.certificate(args.alpha, args.eps, args.delta, args.beta)
     print(f"sigma {cert.sigma!r}")
@@ -160,12 +144,6 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_inspect(args) -> int:
-    if args.stream:
-        strm = read_stream(args.stream)
-        scfg = strm.config
-        print(f"stream seed={strm.seed} regime={scfg.regime.value} dimension={scfg.dimension}")
-        print(f"events {len(strm.events)}")
-        return EXIT_OK
     cfg = _load_cfg(args, bench.experiment2_defaults())
     _, ctx, oracle = bench.prepare_run(cfg)
     print(
@@ -195,8 +173,6 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_experiment(args, 2)
         if args.command == "grid":
             return _cmd_grid(args)
-        if args.command == "gen-stream":
-            return _cmd_gen_stream(args)
         if args.command == "certify":
             return _cmd_certify(args)
         if args.command == "inspect":

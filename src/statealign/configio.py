@@ -9,15 +9,36 @@ axis values, e.g. `kappa = 3, 10, 30`.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import fields, is_dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import get_type_hints
+from typing import get_args, get_origin, get_type_hints
 
 from .bench import ExperimentConfig, grid_axis_field
 from .errors import InvalidAxis, InvalidConfig
 from .olbfgs import StepConfig
-from .stream import StreamConfig, parse_value
+from .stream import StreamConfig
+
+
+def parse_value(raw: str, kind, key: str):
+    """One config field's value from its text, by the field's type `kind`.
+
+    `kind` comes from `typing.get_type_hints` of the config dataclass: an
+    enum takes its value text, a float must be finite, and a tuple type
+    takes a comma list. A bad value raises InvalidConfig naming `key`.
+    """
+    raw = raw.strip()
+    if get_origin(kind) is tuple:
+        item = get_args(kind)[0]
+        return tuple(parse_value(v, item, key) for v in raw.split(",") if v.strip())
+    try:
+        value = kind(raw)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError("not finite")
+    except ValueError as exc:
+        raise InvalidConfig(f"bad value {raw!r} for {key}") from exc
+    return value
 
 
 def _section_kwargs(parser: configparser.ConfigParser, section: str, cls) -> dict:

@@ -125,13 +125,14 @@ def parse_intervention(method_id: str) -> Row:
     """Resolve a stable string id into its row function.
 
     An id is a key of METHODS or window:<n>, a replay of the last n
-    prefix events (n >= 1).
+    prefix events (n >= 1, written in ASCII digits 0-9 only).
     """
     if method_id.startswith("window:"):
-        try:
-            window = int(method_id.split(":", 1)[1])
-        except ValueError as exc:
-            raise InvalidConfig(f"bad window length in intervention id {method_id!r}") from exc
+        digits = method_id[len("window:") :]
+        # int() also takes signs, spaces, underscores and non-ASCII digits.
+        if not (digits.isascii() and digits.isdigit()):
+            raise InvalidConfig(f"bad window length in intervention id {method_id!r}")
+        window = int(digits)
         if window < 1:
             raise InvalidConfig("window replay needs a positive window")
         return lambda ctx: _window_replay(ctx, window)

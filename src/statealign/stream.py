@@ -11,11 +11,7 @@ the same (config, seed) produces bit-identical events.
 """
 from __future__ import annotations
 
-import base64
-import contextlib
 import math
-import os
-import typing
 from dataclasses import dataclass, fields
 from enum import Enum
 
@@ -27,8 +23,6 @@ from .errors import (
     InvalidConfig,
     MissingGradState,
 )
-
-STREAM_FILE_VERSION = 1
 
 # Salt mixed into the sub-seed for the random deletion mode so the draw is
 # independent of the generator's own stream of draws.
@@ -100,26 +94,6 @@ def require_finite(cfg) -> None:
         value = getattr(cfg, f.name)
         if isinstance(value, float) and not math.isfinite(value):
             raise InvalidConfig(f"{f.name} must be finite, got {value!r}")
-
-
-def parse_value(raw: str, kind, key: str):
-    """One config field's value from its text, by the field's type `kind`.
-
-    `kind` comes from `typing.get_type_hints` of the config dataclass: an
-    enum takes its value text, a float must be finite, and a tuple type
-    takes a comma list. A bad value raises InvalidConfig naming `key`.
-    """
-    raw = raw.strip()
-    if typing.get_origin(kind) is tuple:
-        item = typing.get_args(kind)[0]
-        return tuple(parse_value(v, item, key) for v in raw.split(",") if v.strip())
-    try:
-        value = kind(raw)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError("not finite")
-    except ValueError as exc:
-        raise InvalidConfig(f"bad value {raw!r} for {key}") from exc
-    return value
 
 
 @dataclass(frozen=True)
@@ -198,7 +172,6 @@ class StreamConfig:
 @dataclass
 class EventStream:
     events: list[Event]
-    config: StreamConfig
     seed: int
 
     def prefix(self, t: int) -> list[Event]:
@@ -274,7 +247,7 @@ def gen_quadratic_stream(config: StreamConfig, seed: int) -> EventStream:
         payload = QuadraticSample(hessian=h_t, minimizer=_freeze(a_t))
         events.append(Event(index=t, time=t, payload=payload))
 
-    return EventStream(events=events, config=config, seed=seed)
+    return EventStream(events=events, seed=seed)
 
 
 def _expit(x: float) -> float:
@@ -312,7 +285,7 @@ def gen_logistic_stream(config: StreamConfig, seed: int) -> EventStream:
         payload = LogisticSample(features=_freeze(x_t), label=label, ridge=config.ridge)
         events.append(Event(index=t, time=t, payload=payload))
 
-    return EventStream(events=events, config=config, seed=seed)
+    return EventStream(events=events, seed=seed)
 
 
 def generate_stream(config: StreamConfig, seed: int) -> EventStream:
@@ -397,118 +370,3 @@ def edit_history(prefix: list[Event], deletions: DeletionSet) -> list[Event]:
         return list(prefix)
     banned = deletions.indices
     return [e for e in prefix if e.index not in banned]
-
-
-# ---------------------------------------------------------------------------
-# Line-record serialization: one event per line as
-#   time,insert,index,payload-blob(base64)
-# preceded by two '#' header lines carrying the seed and the config needed
-# to decode blobs. Blobs are little-endian float64: quadratic events pack H
-# (row-major) then a; logistic events pack x then the label, and take their
-# ridge from the header.
-# ---------------------------------------------------------------------------
-
-_HEADER = f"# statealign-stream v{STREAM_FILE_VERSION} seed="
-
-
-def atomic_write(path: str, text: str) -> None:
-    """Write ASCII text to a temp file next to path, then rename it over path.
-
-    The temp name is unique to the process and gets the mode a plain
-    open(path, "w") gives; a failed write removes it and keeps the old file.
-    """
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w", encoding="ascii") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
-
-
-def _config_to_pairs(config: StreamConfig) -> list[tuple[str, str]]:
-    out = []
-    for f in fields(StreamConfig):
-        value = getattr(config, f.name)
-        if isinstance(value, Enum):
-            value = value.value
-        out.append((f.name, str(value)))
-    return out
-
-
-def _config_from_header(line: str) -> StreamConfig:
-    """The validated config of the `# key=value ...` line; raises ValueError or InvalidConfig."""
-    items = [item.partition("=") for item in line[2:].split()] if line.startswith("# ") else []
-    pairs = {key: raw for key, sep, raw in items if sep}
-    if len(pairs) != len(items) or sorted(pairs) != sorted(f.name for f in fields(StreamConfig)):
-        raise ValueError("the config line must set each StreamConfig field once as key=value")
-    kinds = typing.get_type_hints(StreamConfig)
-    return StreamConfig(**{k: parse_value(pairs[k], kind, k) for k, kind in kinds.items()})
-
-
-def _payload_blob(payload: SamplePayload) -> str:
-    if isinstance(payload, QuadraticSample):
-        flat = np.concatenate([payload.hessian.ravel(), payload.minimizer])
-    else:
-        flat = np.concatenate([payload.features, [float(payload.label)]])
-    return base64.b64encode(flat.astype("<f8").tobytes()).decode("ascii")
-
-
-def _payload_from_blob(blob: str, config: StreamConfig) -> SamplePayload:
-    """Decode one blob; raises ValueError when it is not valid for the config's regime."""
-    regime, d = config.regime, config.dimension
-    flat = np.frombuffer(base64.b64decode(blob, validate=True), dtype="<f8")
-    size = d * d + d if regime is Regime.QUADRATIC else d + 1
-    if flat.size != size:
-        raise ValueError(f"{regime.value} blob holds {flat.size} floats, not {size}")
-    if regime is Regime.QUADRATIC:
-        h = _freeze(flat[: d * d].reshape(d, d).copy())
-        return QuadraticSample(hessian=h, minimizer=_freeze(flat[d * d :].copy()))
-    if flat[d] not in (1.0, -1.0):
-        raise ValueError("logistic label must be +1 or -1")
-    features = _freeze(flat[:d].copy())
-    return LogisticSample(features=features, label=int(flat[d]), ridge=config.ridge)
-
-
-def write_stream(stream: EventStream, path: str) -> None:
-    """Write the stream as a v1 line-record file, atomically."""
-    lines = [f"{_HEADER}{stream.seed}"]
-    lines.append("# " + " ".join(f"{k}={v}" for k, v in _config_to_pairs(stream.config)))
-    # The op column stays, always 'insert', so v1 files keep their exact bytes.
-    for e in stream.events:
-        lines.append(f"{e.time},insert,{e.index},{_payload_blob(e.payload)}")
-    atomic_write(path, "\n".join(lines) + "\n")
-
-
-def read_stream(path: str) -> EventStream:
-    """Read a file written by `write_stream`.
-
-    A malformed header or row raises InvalidConfig naming the file and the
-    line; a file that cannot be opened raises OSError. Non-ASCII bytes
-    decode to U+FFFD, which no field accepts, so they fail on their line.
-    """
-    with open(path, "r", encoding="ascii", errors="replace") as fh:
-        raw = fh.read().splitlines()
-    lineno = 1
-    try:
-        if not raw or not raw[0].startswith(_HEADER):
-            raise ValueError(f"not a v{STREAM_FILE_VERSION} stream file header")
-        seed = int(raw[0][len(_HEADER) :])
-        lineno = 2
-        config = _config_from_header(raw[1] if len(raw) > 1 else "")
-        events: list[Event] = []
-        for lineno, line in enumerate(raw[2:], start=3):
-            if not line or line.startswith("#"):
-                continue
-            time_s, op, index_s, blob = line.split(",", 3)
-            if op != "insert":
-                raise ValueError(f"op {op!r} is not 'insert'; deletions are DeletionSets")
-            payload = _payload_from_blob(blob, config)
-            events.append(Event(index=int(index_s), time=int(time_s), payload=payload))
-    except (ValueError, InvalidConfig) as exc:
-        raise InvalidConfig(f"{path}:{lineno}: {exc}") from exc
-    if len(events) != config.length:
-        raise InvalidConfig(f"{path}: header length={config.length} but {len(events)} event rows")
-    return EventStream(events=events, config=config, seed=seed)

@@ -1,4 +1,4 @@
-"""Golden files: three small runs whose outputs are committed, and two stream files.
+"""Golden files: three small runs whose outputs are committed.
 
 `tests/test_golden.py` reruns every case and compares the files byte
 for byte, so a change that claims to move no number is checked against
@@ -14,7 +14,6 @@ and reports, per column, how far the values moved.
 from __future__ import annotations
 
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from statealign.bench import (
@@ -28,7 +27,7 @@ from statealign.bench import (
     write_trace_csv,
 )
 from statealign.olbfgs import StepConfig
-from statealign.stream import DeletionMode, Regime, StreamConfig, generate_stream, write_stream
+from statealign.stream import DeletionMode, Regime, StreamConfig
 
 GOLDEN_DIR = Path(__file__).resolve().parent
 
@@ -87,14 +86,6 @@ GRID_BASE = ExperimentConfig(
 )
 GRID_AXES = {"tau": [5, 20], "t_del": [40, 100]}
 
-# Two tiny streams pin the v1 stream file format byte for byte.
-STREAM_BASE = StreamConfig(dimension=3, length=6, deletion_time=3, deletion_size=1, horizon=2)
-STREAM_SEED = 3
-STREAM_FILES = {
-    "quadratic.stream": STREAM_BASE,
-    "logistic.stream": replace(STREAM_BASE, regime=Regime.LOGISTIC),
-}
-
 
 def _blank_wall_clock(results) -> None:
     for res in results:
@@ -124,18 +115,10 @@ def write_grid(out: Path) -> None:
     write_summary_csv(aggregate(results), str(out / "summary.csv"))
 
 
-def write_streams(out: Path) -> None:
-    """One stream file per regime, written by `write_stream`."""
-    out.mkdir(parents=True, exist_ok=True)
-    for name, cfg in STREAM_FILES.items():
-        write_stream(generate_stream(cfg, STREAM_SEED), str(out / name))
-
-
 CASES = {
     "exp2_quadratic": lambda out: write_single(QUADRATIC, out, require_contractive=True),
     "exp2_logistic": lambda out: write_single(LOGISTIC, out, require_contractive=False),
     "grid": write_grid,
-    "stream": write_streams,
 }
 
 

@@ -17,6 +17,7 @@ from statealign.bench import (
     MethodResult,
     RunResult,
     aggregate,
+    atomic_write,
     derive_point_seed,
     grid_points,
     result_rows,
@@ -658,6 +659,19 @@ def test_rerun_is_byte_identical_outside_timing_columns(tmp_path):
     write_results_csv([run_experiment(small_config(), keep_traces=False)], str(p1))
     write_results_csv([run_experiment(small_config(), keep_traces=False)], str(p2))
     assert masked_csv(p1) == masked_csv(p2)
+
+
+def test_failed_atomic_write_keeps_the_old_file_and_leaves_no_temp(tmp_path):
+    path = tmp_path / "out.txt"
+    atomic_write(str(path), "old\n")
+    with pytest.raises(UnicodeEncodeError):
+        atomic_write(str(path), "new \u00e9\n")
+    assert path.read_text() == "old\n"
+    assert list(tmp_path.iterdir()) == [path]
+    plain = tmp_path / "plain.txt"
+    with open(plain, "w") as fh:
+        fh.write("x")
+    assert path.stat().st_mode == plain.stat().st_mode
 
 
 def test_config_validation_rejects_bad_knobs():

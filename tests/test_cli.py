@@ -1,13 +1,16 @@
 """Command-line front end: exit codes, output files, and determinism."""
 
+import argparse
 import csv
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from statealign import bench
-from statealign.cli import main
+from statealign import bench, cli
+from statealign.cli import build_parser, main
 from statealign.interventions import DEFAULT_METHOD_IDS
 
 SMALL = """\
@@ -84,19 +87,17 @@ def test_bad_seed_list_exits_1(capsys, tmp_path):
     "argv, grid",
     [
         (["exp2", "--seed", "-1"], ""),
-        (["gen-stream", "--seed", "-2", "--out", "{tmp}/s.stream"], ""),
+        (["inspect", "--seed", "-2"], ""),
         (["grid"], "\n[grid]\nseed = -4, 1\n"),
     ],
 )
 def test_negative_seed_exits_1(capsys, tmp_path, argv, grid):
     path = tmp_path / "exp.ini"
     path.write_text(SMALL + grid)
-    argv = [a.format(tmp=tmp_path) for a in argv] + ["--config", str(path)]
-    assert main(argv) == 1
+    assert main([*argv, "--config", str(path)]) == 1
     captured = capsys.readouterr()
     assert "config error: seed must be >= 0, got -" in captured.err
-    assert "exact_recovery" not in captured.out
-    assert not (tmp_path / "s.stream").exists()
+    assert captured.out == ""
 
 
 def test_more_than_one_seed_exits_1(capsys, tmp_path):
@@ -208,8 +209,9 @@ def test_unknown_grid_axis_exits_1(capsys, tmp_path):
 
 
 def test_unwritable_output_exits_2(capsys, small_cfg, tmp_path):
-    target = tmp_path / "missing" / "dir" / "stream.txt"
-    code = main(["gen-stream", "--config", str(small_cfg), "--out", str(target)])
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = main(["exp2", "--config", str(small_cfg), "--out", str(blocker / "out")])
     assert code == 2
     assert "runtime error" in capsys.readouterr().err
 
@@ -365,28 +367,6 @@ def test_grid_worker_count_does_not_change_results(tmp_path):
     assert (out1 / "summary.csv").read_bytes() == (out2 / "summary.csv").read_bytes()
 
 
-def test_gen_stream_then_inspect_roundtrip(capsys, small_cfg, tmp_path):
-    stream_path = tmp_path / "stream.txt"
-    code = main(["gen-stream", "--config", str(small_cfg), "--seed", "3",
-                 "--out", str(stream_path)])
-    assert code == 0
-    assert "wrote 60 events" in capsys.readouterr().out
-    assert main(["inspect", "--stream", str(stream_path)]) == 0
-    out = capsys.readouterr().out
-    assert "seed=3" in out
-    assert "dimension=6" in out
-    assert "events 60" in out
-
-
-@pytest.mark.parametrize("flag, seed", [([], "5"), (["--seed", "3"], "3")])
-def test_gen_stream_takes_the_config_seed_unless_overridden(capsys, tmp_path, flag, seed):
-    cfg = tmp_path / "exp.ini"
-    cfg.write_text(SMALL.replace("seeds = 7", "seeds = 5"))
-    stream_path = tmp_path / "stream.txt"
-    assert main(["gen-stream", "--config", str(cfg), *flag, "--out", str(stream_path)]) == 0
-    assert stream_path.read_text().splitlines()[0] == f"# statealign-stream v1 seed={seed}"
-
-
 def test_inspect_applies_one_intervention(capsys, small_cfg):
     code = main(["inspect", "--config", str(small_cfg), "--intervention", "oracle"])
     assert code == 0
@@ -409,20 +389,31 @@ def test_bad_window_length_exits_1(capsys, small_cfg):
     assert "'window:x'" in err
 
 
-def test_inspect_stream_with_a_delete_row_exits_1(capsys, small_cfg, tmp_path):
-    stream_path = tmp_path / "stream.txt"
-    assert main(["gen-stream", "--config", str(small_cfg), "--out", str(stream_path)]) == 0
-    lines = stream_path.read_text().splitlines()
-    lines[5] = "4,delete,4,"
-    stream_path.write_text("\n".join(lines) + "\n")
-    capsys.readouterr()
-    assert main(["inspect", "--stream", str(stream_path)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("config error: ")
-    assert f"{stream_path}:6: " in err
-    assert "'delete'" in err
+@pytest.mark.parametrize(
+    "method_id",
+    ["window:٣", "window:3_0", "window:+3", "window: 3"],
+    ids=["arabic-indic-digit", "underscore", "plus-sign", "space"],
+)
+def test_window_length_in_anything_but_ascii_digits_exits_1_before_any_work(
+    capsys, tmp_path, method_id
+):
+    path = tmp_path / "exp.ini"
+    path.write_text(
+        SMALL.replace("interventions = oracle, noop", f"interventions = oracle, {method_id}"),
+        encoding="utf-8",
+    )
+    assert main(["exp2", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert f"config error: bad window length in intervention id {method_id!r}" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
 
 
-def test_inspect_missing_stream_exits_2(capsys, tmp_path):
-    assert main(["inspect", "--stream", str(tmp_path / "nope.txt")]) == 2
-    assert "runtime error" in capsys.readouterr().err
+def test_docstring_and_readme_name_exactly_the_parser_subcommands():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    commands = sorted(sub.choices)
+    assert commands == sorted(["exp1", "exp2", "grid", "certify", "inspect"])
+    assert sorted(re.findall(r"^    bench (\S+)", cli.__doc__, re.M)) == commands
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    usage = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    assert sorted(set(re.findall(r"^bench (\S+)", usage, re.M))) == commands

@@ -1,8 +1,7 @@
-"""Stream generation: drift laws, spectra, deletion selection, serialization."""
+"""Stream generation: drift laws, spectra, deletion selection, losses."""
 
 import math
 import os
-import re
 import struct
 import subprocess
 import sys
@@ -14,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from golden.regenerate import GOLDEN_DIR
 from statealign.errors import InvalidConfig
 from statealign.stream import (
     DeletionMode,
@@ -24,14 +22,11 @@ from statealign.stream import (
     Regime,
     StreamConfig,
     _expit,
-    atomic_write,
     edit_history,
     generate_stream,
     loss_and_grad,
     loss_hessian,
-    read_stream,
     select_deletion_set,
-    write_stream,
 )
 
 SMALL = StreamConfig(dimension=6, length=60, deletion_time=30, horizon=20)
@@ -252,43 +247,6 @@ def test_edit_history_commutes_with_truncation(banned, cut):
     assert a == b
 
 
-# -- serialization -----------------------------------------------------------
-
-def test_stream_roundtrip_is_bitwise(tmp_path):
-    strm = generate_stream(SMALL, seed=12)
-    path = tmp_path / "stream.txt"
-    write_stream(strm, str(path))
-    back = read_stream(str(path))
-    assert back.seed == strm.seed
-    assert back.config == strm.config
-    assert len(back.events) == len(strm.events)
-    for ev, ev2 in zip(strm.events, back.events):
-        assert ev.index == ev2.index and ev.time == ev2.time
-        np.testing.assert_array_equal(ev.payload.hessian, ev2.payload.hessian)
-        np.testing.assert_array_equal(ev.payload.minimizer, ev2.payload.minimizer)
-
-
-def test_stream_file_header_names_format_and_seed(tmp_path):
-    strm = generate_stream(SMALL, seed=12)
-    path = tmp_path / "stream.txt"
-    write_stream(strm, str(path))
-    first = path.read_text().splitlines()[0]
-    assert first.startswith("# statealign-stream v1")
-    assert "seed=12" in first
-
-
-def test_logistic_roundtrip_preserves_labels(tmp_path):
-    cfg = StreamConfig(regime=Regime.LOGISTIC, dimension=4, length=30, deletion_time=15, horizon=10)
-    strm = generate_stream(cfg, seed=3)
-    path = tmp_path / "s.txt"
-    write_stream(strm, str(path))
-    back = read_stream(str(path))
-    for ev, ev2 in zip(strm.events, back.events):
-        assert ev.payload.label == ev2.payload.label
-        assert ev.payload.ridge == ev2.payload.ridge == cfg.ridge
-        np.testing.assert_array_equal(ev.payload.features, ev2.payload.features)
-
-
 def test_logistic_payload_carries_its_ridge_into_the_loss():
     cfg = StreamConfig(
         regime=Regime.LOGISTIC, dimension=4, length=20, deletion_time=10, horizon=5, ridge=0.3
@@ -325,50 +283,3 @@ def test_the_cli_loads_no_scipy_module():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert proc.stdout.strip() == "[]"
-
-
-GOLDEN_STREAM = GOLDEN_DIR / "stream" / "quadratic.stream"
-
-
-@pytest.mark.parametrize(
-    "lineno, edit",
-    [
-        pytest.param(1, lambda line: line.replace("seed=3", "3"), id="header-without-seed"),
-        pytest.param(1, lambda line: line.replace("v1", "v9"), id="unknown-version"),
-        pytest.param(2, lambda line: line.replace("dimension=3", "dimension"), id="item-without-value"),
-        pytest.param(2, lambda line: line.replace(" horizon=2", ""), id="missing-key"),
-        pytest.param(2, lambda line: line.replace("length=6", "length=six"), id="bad-int"),
-        pytest.param(2, lambda line: line.replace("horizon=2", "horizon=9"), id="invalid-config"),
-        pytest.param(3, lambda line: line.replace(",insert,", ","), id="short-row"),
-        pytest.param(4, lambda line: line[:-3], id="truncated-blob"),
-        pytest.param(5, lambda line: "x" + line, id="bad-time"),
-        pytest.param(6, lambda line: "4,delete,4,", id="delete-row"),
-    ],
-)
-def test_malformed_stream_file_raises_invalid_config_naming_the_line(tmp_path, lineno, edit):
-    path = tmp_path / "s.txt"
-    lines = GOLDEN_STREAM.read_text().splitlines()
-    lines[lineno - 1] = edit(lines[lineno - 1])
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(InvalidConfig, match=f"^{re.escape(str(path))}:{lineno}: "):
-        read_stream(str(path))
-
-
-def test_stream_file_with_missing_rows_is_rejected(tmp_path):
-    path = tmp_path / "s.txt"
-    path.write_text("\n".join(GOLDEN_STREAM.read_text().splitlines()[:-1]) + "\n")
-    with pytest.raises(InvalidConfig, match="length=6 but 5 event rows"):
-        read_stream(str(path))
-
-
-def test_failed_atomic_write_keeps_the_old_file_and_leaves_no_temp(tmp_path):
-    path = tmp_path / "out.txt"
-    atomic_write(str(path), "old\n")
-    with pytest.raises(UnicodeEncodeError):
-        atomic_write(str(path), "new \u00e9\n")
-    assert path.read_text() == "old\n"
-    assert list(tmp_path.iterdir()) == [path]
-    plain = tmp_path / "plain.txt"
-    with open(plain, "w") as fh:
-        fh.write("x")
-    assert path.stat().st_mode == plain.stat().st_mode
