@@ -26,7 +26,6 @@ from . import certify, metrics
 from .errors import EmptyResults, IntervalTooShort, InvalidAxis, InvalidConfig
 from .interventions import (
     DEFAULT_METHOD_IDS,
-    METHODS,
     InterventionContext,
     InterventionCost,
     apply as apply_intervention,
@@ -203,7 +202,8 @@ def _propagate_lanes(
     probes: np.ndarray,
     memory_weight: float,
     deletions: DeletionSet,
-) -> list[MetricTrace]:
+    stops: tuple[int, ...] = (),
+) -> tuple[list[MetricTrace], list[OptimizerState]]:
     """Step the oracle and every distinct start state in lockstep over `future`.
 
     Lane 0 is the oracle. Start states with equal `state_key`s (the same
@@ -213,12 +213,16 @@ def _propagate_lanes(
     propagation would give.
     The lanes step together in one LaneBank and are measured together by
     `metrics.state_gaps` and `metrics.direction_gap`, with the bits that
-    `advance`, `two_loop` and the metrics give lane by lane. Returns one
-    trace per start state, in order.
+    `advance`, `two_loop` and the metrics give lane by lane. For each k in
+    `stops`, the lane of the last start state is copied out before
+    future[k] is stepped. Returns one trace per start state, in order, and
+    the copies, in `stops` order.
     """
     keys = [state_key(st) for st in (oracle0, *starts)]
     by_key = dict(zip(keys, (oracle0, *starts)))
     bank = LaneBank(list(by_key.values()))
+    tapped = list(by_key).index(keys[-1])
+    copies = dict.fromkeys(stops)
 
     n, h = len(by_key), len(future)
     param = np.empty((n, h + 1))
@@ -231,6 +235,8 @@ def _propagate_lanes(
     for k in range(h + 1):
         param[:, k], memory[:, k], state[:, k] = metrics.state_gaps(bank, probes, memory_weight)
         mass[:, k] = direct_mass(bank, deletions)
+        if k in copies:
+            copies[k] = bank.lane(tapped)
         if k < h:
             loss[:, k], directions = bank.move(future[k], cfg)
             direction[:, k] = metrics.direction_gap(directions, directions[0])
@@ -245,7 +251,7 @@ def _propagate_lanes(
         )
         for i, key in enumerate(by_key)
     }
-    return [traces[key] for key in keys[1:]]
+    return [traces[key] for key in keys[1:]], [copies[k] for k in stops]
 
 
 def _phase_fit(trace: np.ndarray, k_lo: int, k_hi: int) -> float:
@@ -304,55 +310,76 @@ def _summarize_method(
     )
 
 
-def prepare_run(cfg: ExperimentConfig) -> tuple[EventStream, InterventionContext, OptimizerState]:
-    """The pre-deletion protocol: stream, training, deletions, oracle.
+def prepare_run(
+    cfg: ExperimentConfig, stops: tuple[int, ...] = ()
+) -> tuple[EventStream, InterventionContext, list[OptimizerState]]:
+    """The pre-deletion protocol: stream, training, deletions.
 
     Generates the stream on the config's seed, trains from the global
     initial state on the prefix up to t_del and selects the deletion set.
     Returns the stream, the context every intervention receives (theta0,
     the unedited prefix, the trained state, the deletions and the step
-    config) and the oracle state at t_del, which the `oracle` row gives.
+    config) and, for each of the ascending `stops` (each < t_del), the
+    state the training reached after that many events.
     """
     scfg = cfg.stream
     step_cfg = cfg.optimizer
     strm = generate_stream(scfg, cfg.seeds[0])
     theta0 = initial_state(scfg.dimension, step_cfg)
     prefix = strm.prefix(scfg.deletion_time)
-    actual = replay(theta0, prefix, step_cfg)
+    actual, done, at_stops = theta0, 0, []
+    for stop in stops:
+        actual = replay(actual, prefix[done:stop], step_cfg)
+        at_stops.append(actual)
+        done = stop
+    actual = replay(actual, prefix[done:], step_cfg)
     deletions = select_deletion_set(
         strm, scfg.deletion_time, scfg.deletion_mode, scfg.deletion_size, grad_state=actual.w
     )
     ctx = InterventionContext(
         actual=actual, deletions=deletions, step_cfg=step_cfg, theta0=theta0, full_prefix=prefix
     )
-    return strm, ctx, METHODS["oracle"](ctx)[0]
+    return strm, ctx, at_stops
 
 
 def run_experiment(cfg: ExperimentConfig, keep_traces: bool = True) -> RunResult:
-    """One run on the config's seed with every method it names; see the module docstring."""
-    strm, ctx, oracle0 = prepare_run(cfg)
+    """One run on the config's seed with every method it names; see the module docstring.
+
+    A contraction trial at position p starts from the training's state after
+    p events (p < t_del) or from the actual state's lane at k = p - t_del.
+    """
     seed = cfg.seeds[0]
     method_ids = cfg.interventions
     scfg = cfg.stream
-    step_cfg = ctx.step_cfg
-    tau = step_cfg.tau
+    step_cfg = cfg.optimizer
     t_del = scfg.deletion_time
     horizon = scfg.horizon
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x636F6E74)))
+    positions = sorted(rng.integers(0, t_del + horizon, size=cfg.contraction_trials).tolist())
+    strm, ctx, bases = prepare_run(cfg, tuple(p for p in positions if p < t_del))
 
     future = strm.future(t_del, horizon)
     probes = make_probes(scfg.dimension, cfg.probe_count, seed)
-    intervened = [apply_intervention(m, ctx) for m in method_ids]
-    method_traces = _propagate_lanes(
-        oracle0,
-        [iv.state for iv in intervened],
+    oracle = apply_intervention("oracle", ctx)
+    intervened = [oracle if m == "oracle" else apply_intervention(m, ctx) for m in method_ids]
+    future_stops = tuple(p - t_del for p in positions if p >= t_del)
+    # The actual state goes last: a hidden lane, or the lane of a method with
+    # its bits (noop, retain_ft).
+    actual = [ctx.actual] if future_stops else []
+    method_traces, future_bases = _propagate_lanes(
+        oracle.state,
+        [iv.state for iv in intervened] + actual,
         future,
         step_cfg,
         probes,
         cfg.memory_weight,
         ctx.deletions,
+        future_stops,
     )
+    method_traces = method_traces[: len(method_ids)]
+    bases += future_bases
     rows = [
-        _summarize_method(m, trace, iv.cost, tau, len(future))
+        _summarize_method(m, trace, iv.cost, step_cfg.tau, len(future))
         for m, iv, trace in zip(method_ids, intervened, method_traces)
     ]
     noop_trace = next((t for m, t in zip(method_ids, method_traces) if m == "noop"), None)
@@ -365,15 +392,8 @@ def run_experiment(cfg: ExperimentConfig, keep_traces: bool = True) -> RunResult
     violations: list[str] = []
     rho_emp = float("nan")
     if cfg.contraction_trials > 0:
-        history = strm.events[: t_del + horizon]
-        rho_emp = certify.empirical_contraction(
-            history,
-            step_cfg,
-            cfg.contraction_trials,
-            seed,
-            probes=probes,
-            memory_weight=cfg.memory_weight,
-        )
+        trials = list(zip(bases, [strm.events[p] for p in positions]))
+        rho_emp = certify.empirical_contraction(trials, step_cfg, rng, probes, cfg.memory_weight)
         if np.isnan(rho_emp):
             violations.append("contractive-updates: rho_emp is nan (a contraction trial diverged)")
         elif rho_emp < 1.0:
@@ -407,7 +427,7 @@ def run_experiment(cfg: ExperimentConfig, keep_traces: bool = True) -> RunResult
         seed=seed,
         regime=scfg.regime.value,
         kappa=scfg.condition_number,
-        tau=tau,
+        tau=step_cfg.tau,
         deletion_mode=scfg.deletion_mode.value,
         deletion_size=scfg.deletion_size,
         t_del=t_del,

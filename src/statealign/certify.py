@@ -5,7 +5,8 @@ driven by the same events obeys a one-step recursion
 Delta_{t+1} <= rho Delta_t + eta_t eps_t, whose closed form this module
 evaluates. Calibrating Gaussian noise to a deviation level alpha gives an
 (eps, delta)-style indistinguishability certificate; the contraction
-factor itself is estimated empirically from perturbed replays.
+factor itself is estimated empirically from perturbed steps of states a
+run reaches.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidConfig, InvalidPrivacyParams, InvalidRho, LengthMismatch
 from .metrics import state_gaps
-from .olbfgs import LaneBank, OptimizerState, StepConfig, initial_state, step
+from .olbfgs import LaneBank, OptimizerState, StepConfig
 from .stream import Event
 
 # Size of the contraction trials' perturbation, relative to max(1, ||w||).
@@ -117,82 +118,50 @@ def certificate(alpha: float, epsilon: float, delta: float, beta: float = 0.0) -
     )
 
 
-def _perturbed_copy(
-    state: OptimizerState, rng: np.random.Generator, perturb_memory: bool
-) -> OptimizerState:
+def _perturbed_copy(state: OptimizerState, rng: np.random.Generator) -> OptimizerState:
     out = state.clone()
     d = out.w.shape[0]
     u = rng.standard_normal(d)
     u /= np.linalg.norm(u)
     delta = PERTURB_SCALE * max(1.0, float(np.linalg.norm(out.w)))
     out.w = out.w + delta * u
-    if perturb_memory:
-        # Oldest pair first, s before y; a pair whose jittered s'y is not > 0 stays as it was.
-        for j in np.flatnonzero(out.src >= 0):
-            js = out.S[j] + delta * 1e-2 * rng.standard_normal(d)
-            jy = out.Y[j] + delta * 1e-2 * rng.standard_normal(d)
-            if float(js @ jy) > 0.0:
-                out.S[j], out.Y[j] = js, jy
+    # Oldest pair first, s before y; a pair whose jittered s'y is not > 0 stays as it was.
+    for j in np.flatnonzero(out.src >= 0):
+        js = out.S[j] + delta * 1e-2 * rng.standard_normal(d)
+        jy = out.Y[j] + delta * 1e-2 * rng.standard_normal(d)
+        if float(js @ jy) > 0.0:
+            out.S[j], out.Y[j] = js, jy
     return out
 
 
-def contraction_ratios(
-    history: list[Event],
+def empirical_contraction(
+    trials: list[tuple[OptimizerState, Event]],
     cfg: StepConfig,
-    trials: int,
-    seed: int,
+    rng: np.random.Generator,
     probes: np.ndarray,
     memory_weight: float = 1.0,
-    perturb_memory: bool = True,
-) -> list[float]:
-    """One-step expansion ratios of the update map along a replayed history.
+) -> float:
+    """Worst observed one-step expansion ratio of the update map; >= 1 flags non-contraction.
 
-    Each trial perturbs the state reached after a sampled number of events
-    and steps both copies, the two lanes of one LaneBank, with the next
-    event; the ratio is the combined state error (`metrics.state_gaps` on
-    that bank) after over before, its memory term measured on the
-    (d, count) probe matrix, which also fixes the dimension d.
+    Each trial perturbs its base state with draws from `rng`, in order, and
+    steps both copies, the two lanes of one LaneBank, with its event; the
+    ratio is the combined state error (`metrics.state_gaps` on that bank)
+    after over before, its memory term measured on the (d, count) probe
+    matrix. A trial whose perturbation reads as no error is skipped. nan
+    when any trial's ratio is nan (a diverged trial), wherever it falls.
     """
-    if not history:
-        raise InvalidConfig("contraction estimation needs at least one event")
-    if trials < 1:
-        raise InvalidConfig("trials must be >= 1")
-    d = probes.shape[0]
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x636F6E74)))
-    positions = sorted(int(p) for p in rng.integers(0, len(history), size=trials))
-
+    if not trials:
+        raise InvalidConfig("contraction estimation needs at least one trial")
     ratios: list[float] = []
-    state = initial_state(d, cfg)
-    consumed = 0
-    for pos in positions:
-        while consumed < pos:
-            state = step(state, history[consumed], cfg)
-            consumed += 1
-        bank = LaneBank([state, _perturbed_copy(state, rng, perturb_memory)])
+    for state, event in trials:
+        bank = LaneBank([state, _perturbed_copy(state, rng)])
         # E_theta of the perturbed lane against the base lane.
         before = state_gaps(bank, probes, memory_weight)[2][1]
         if before == 0.0:
             continue
-        bank.move(history[pos], cfg)
+        bank.move(event, cfg)
         after = state_gaps(bank, probes, memory_weight)[2][1]
         ratios.append(float(after / before))
     if not ratios:
         raise InvalidConfig("all contraction trials were degenerate")
-    return ratios
-
-
-def empirical_contraction(
-    history: list[Event],
-    cfg: StepConfig,
-    trials: int,
-    seed: int,
-    probes: np.ndarray,
-    memory_weight: float = 1.0,
-    perturb_memory: bool = True,
-) -> float:
-    """Worst observed one-step expansion ratio; >= 1 flags non-contraction.
-
-    nan when any trial's ratio is nan (a diverged trial), wherever it falls.
-    """
-    ratios = contraction_ratios(history, cfg, trials, seed, probes, memory_weight, perturb_memory)
     return float(np.max(ratios))

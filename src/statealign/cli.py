@@ -145,7 +145,7 @@ def _cmd_certify(args) -> int:
 
 def _cmd_inspect(args) -> int:
     cfg = _load_cfg(args, bench.experiment2_defaults())
-    _, ctx, oracle = bench.prepare_run(cfg)
+    _, ctx, _ = bench.prepare_run(cfg)
     print(
         f"trained {len(ctx.full_prefix)} events: |w|={float(np.linalg.norm(ctx.actual.w))!r} "
         f"pairs={len(ctx.actual)}"
@@ -154,6 +154,7 @@ def _cmd_inspect(args) -> int:
     if args.intervention:
         intervened = apply_intervention(args.intervention, ctx)
         probes = metrics.make_probes(cfg.stream.dimension, cfg.probe_count, cfg.seeds[0])
+        oracle = apply_intervention("oracle", ctx).state
         gaps = metrics.state_gaps(LaneBank([oracle, intervened.state]), probes, cfg.memory_weight)
         e_w, e_z, e_theta = (float(e[1]) for e in gaps)
         print(

@@ -10,6 +10,7 @@ else trades fidelity for work.
 """
 from __future__ import annotations
 
+import contextlib
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -125,17 +126,18 @@ def parse_intervention(method_id: str) -> Row:
     """Resolve a stable string id into its row function.
 
     An id is a key of METHODS or window:<n>, a replay of the last n
-    prefix events (n >= 1, written in ASCII digits 0-9 only).
+    prefix events, n >= 1 written as str(n): ASCII digits 0-9 and no
+    leading zero, so that each window has one id.
     """
     if method_id.startswith("window:"):
         digits = method_id[len("window:") :]
-        # int() also takes signs, spaces, underscores and non-ASCII digits.
-        if not (digits.isascii() and digits.isdigit()):
-            raise InvalidConfig(f"bad window length in intervention id {method_id!r}")
-        window = int(digits)
-        if window < 1:
-            raise InvalidConfig("window replay needs a positive window")
-        return lambda ctx: _window_replay(ctx, window)
+        # int() also takes signs, spaces, underscores, leading zeros and
+        # non-ASCII digits, and raises ValueError past its digit limit.
+        if digits.isascii() and digits.isdigit() and digits[0] != "0":
+            with contextlib.suppress(ValueError):
+                window = int(digits)
+                return lambda ctx: _window_replay(ctx, window)
+        raise InvalidConfig(f"bad window length in intervention id {method_id!r}")
     if method_id not in METHODS:
         raise InvalidConfig(f"unknown intervention id {method_id!r}")
     return METHODS[method_id]

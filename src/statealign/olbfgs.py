@@ -152,6 +152,10 @@ class LaneBank:
     def __len__(self) -> int:
         return int(self.depth.max())
 
+    def lane(self, i: int) -> OptimizerState:
+        """A copy of lane i as a state."""
+        return OptimizerState(self.w[i].copy(), self.S[i].copy(), self.Y[i].copy(), self.src[i].copy())
+
     def _push(self, lanes: np.ndarray, s: np.ndarray, y: np.ndarray, sy: np.ndarray, source: int) -> None:
         """Append pair k = (s[k], y[k]), with s'y = sy[k], as the newest of lane lanes[k].
 

@@ -23,8 +23,7 @@ from statealign.metrics import fit_decay_rate
 from statealign.olbfgs import StepConfig, two_loop
 from statealign.stream import DeletionMode, StreamConfig
 
-from test_certify import mp_sigma
-from test_olbfgs import dense_inverse_hessian, random_memory
+from helpers import dense_inverse_hessian, mp_sigma, random_memory
 
 
 def _quadratic(**overrides) -> StreamConfig:

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from statealign import bench, metrics
+from statealign import bench, certify, metrics, olbfgs
 from statealign.bench import (
     CSV_COLUMNS,
     SUMMARY_COLUMNS,
@@ -31,8 +31,8 @@ from statealign.bench import (
 from statealign.errors import EmptyResults, InvalidAxis, InvalidConfig
 from statealign.interventions import DEFAULT_METHOD_IDS, apply as apply_intervention
 from statealign.metrics import MetricTrace, make_probes
-from statealign.olbfgs import StepConfig, advance, direct_mass, state_key, two_loop
-from statealign.stream import Regime, StreamConfig
+from statealign.olbfgs import StepConfig, advance, direct_mass, replay, state_key, two_loop
+from statealign.stream import Regime, StreamConfig, edit_history
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -189,9 +189,47 @@ def test_phase_fit_reads_only_a_too_short_interval_as_nan(monkeypatch):
 
 
 def test_oracle_intervention_reproduces_the_oracle_state_bit_for_bit():
-    _, ctx, oracle0 = bench.prepare_run(replace(small_config(), seeds=(7,)))
+    _, ctx, _ = bench.prepare_run(replace(small_config(), seeds=(7,)))
     oracle = apply_intervention("oracle", ctx)
-    assert state_key(oracle.state) == state_key(oracle0)
+    edited = edit_history(ctx.full_prefix, ctx.deletions)
+    assert state_key(oracle.state) == state_key(replay(ctx.theta0, edited, ctx.step_cfg))
+    whole = apply_intervention(f"window:{len(ctx.full_prefix)}", ctx)
+    assert state_key(oracle.state) == state_key(whole.state)
+
+
+def test_a_run_replays_the_prefix_and_each_replay_method_once(monkeypatch):
+    """The contraction trials and lane 0 step nothing on their own."""
+    calls = []
+    real_advance = olbfgs.advance
+
+    def counting_advance(state, event, cfg):
+        calls.append(event.index)
+        return real_advance(state, event, cfg)
+
+    monkeypatch.setattr(olbfgs, "advance", counting_advance)
+    cfg = small_config(
+        interventions=("oracle", "noop", "mem_reset", "window:5"), contraction_trials=25
+    )
+    res = run_experiment(cfg)
+    assert len(calls) == cfg.stream.deletion_time + sum(r.replayed_events for r in res.methods)
+    assert res.method_row("oracle").replayed_events > 0
+    assert res.method_row("window:5").replayed_events > 0
+
+
+def test_contraction_trials_start_from_the_states_a_replay_of_the_stream_reaches():
+    cfg = small_config(interventions=("oracle", "mem_reset"), contraction_trials=25)
+    strm, ctx, _ = bench.prepare_run(cfg)
+    t_del = cfg.stream.deletion_time
+    rng = np.random.default_rng(np.random.SeedSequence((7, 0x636F6E74)))
+    positions = sorted(int(p) for p in rng.integers(0, t_del + cfg.stream.horizon, size=25))
+    assert min(positions) < t_del <= max(positions)
+    trials = [(replay(ctx.theta0, strm.events[:p], ctx.step_cfg), strm.events[p]) for p in positions]
+    probes = make_probes(cfg.stream.dimension, cfg.probe_count, 7)
+    want = certify.empirical_contraction(trials, ctx.step_cfg, rng, probes, cfg.memory_weight)
+    hidden = run_experiment(cfg)
+    shared = run_experiment(replace(cfg, interventions=("oracle", "noop", "mem_reset")))
+    assert list(hidden.traces) == ["oracle", "mem_reset"]
+    assert hidden.rho_emp == shared.rho_emp == want
 
 
 def test_identical_start_states_share_one_propagation(monkeypatch):
@@ -294,13 +332,14 @@ def test_propagate_lanes_matches_the_per_lane_loop_bit_for_bit(
         stream=replace(cfg.stream, **stream_overrides),
         optimizer=replace(cfg.optimizer, **optimizer_overrides),
     )
-    strm, ctx, oracle0 = bench.prepare_run(replace(cfg, seeds=(7,)))
+    strm, ctx, _ = bench.prepare_run(replace(cfg, seeds=(7,)))
     starts = [apply_intervention(m, ctx).state for m in DEFAULT_METHOD_IDS]
+    oracle0 = starts[0]
     future = strm.future(cfg.stream.deletion_time, cfg.stream.horizon)
     probes = make_probes(cfg.stream.dimension, cfg.probe_count, 7)
     args = (oracle0, starts, future, ctx.step_cfg, probes, 0.7, ctx.deletions)
     with np.errstate(all="ignore"):
-        got = bench._propagate_lanes(*args)
+        got, _ = bench._propagate_lanes(*args)
         want = reference_propagation(*args)
     assert len({id(t) for t in got}) == len({id(t) for t in want})
     assert any(not np.isfinite(t.state_err).all() for t in want) == diverges
@@ -314,12 +353,13 @@ def test_propagate_lanes_matches_the_per_lane_loop_bit_for_bit(
 
 def test_a_start_state_one_ulp_from_the_oracle_gets_its_own_lane():
     cfg = small_config()
-    strm, ctx, oracle0 = bench.prepare_run(replace(cfg, seeds=(7,)))
+    strm, ctx, _ = bench.prepare_run(replace(cfg, seeds=(7,)))
+    oracle0 = apply_intervention("oracle", ctx).state
     nudged = oracle0.clone()
     nudged.w[0] = np.nextafter(nudged.w[0], np.inf)
     future = strm.future(cfg.stream.deletion_time, cfg.stream.horizon)
     probes = make_probes(cfg.stream.dimension, cfg.probe_count, 7)
-    same, apart = bench._propagate_lanes(
+    (same, apart), _ = bench._propagate_lanes(
         oracle0, [oracle0.clone(), nudged], future, ctx.step_cfg, probes, 1.0, ctx.deletions
     )
     assert apart is not same
@@ -329,18 +369,38 @@ def test_a_start_state_one_ulp_from_the_oracle_gets_its_own_lane():
 
 def test_pair_source_is_part_of_the_lane_key():
     cfg = small_config()
-    strm, ctx, oracle0 = bench.prepare_run(replace(cfg, seeds=(7,)))
+    strm, ctx, _ = bench.prepare_run(replace(cfg, seeds=(7,)))
+    oracle0 = apply_intervention("oracle", ctx).state
     deleted, kept = ctx.actual.clone(), ctx.actual.clone()
     deleted.src[-1] = min(ctx.deletions.indices)
     kept.src[-1] = cfg.stream.length
     future = strm.future(cfg.stream.deletion_time, cfg.stream.horizon)
     probes = make_probes(cfg.stream.dimension, cfg.probe_count, 7)
-    a, b = bench._propagate_lanes(
+    (a, b), _ = bench._propagate_lanes(
         oracle0, [deleted, kept], future, ctx.step_cfg, probes, 1.0, ctx.deletions
     )
     assert a is not b
     assert a.direct_mass[0] == b.direct_mass[0] + 1
     assert a.state_err.tobytes() == b.state_err.tobytes()
+
+
+def test_stops_copy_the_last_start_states_lane_bit_for_bit():
+    cfg = small_config()
+    strm, ctx, at_stops = bench.prepare_run(cfg, (0, 4, 4, 29))
+    prefix = ctx.full_prefix
+    for p, got in zip((0, 4, 4, 29), at_stops):
+        assert state_key(got) == state_key(replay(ctx.theta0, prefix[:p], ctx.step_cfg))
+    oracle0 = apply_intervention("oracle", ctx).state
+    future = strm.future(cfg.stream.deletion_time, cfg.stream.horizon)
+    probes = make_probes(cfg.stream.dimension, cfg.probe_count, 7)
+    stops = (0, 4, 4, 19)
+    traces, copies = bench._propagate_lanes(
+        oracle0, [ctx.actual.clone(), ctx.actual], future, ctx.step_cfg, probes, 1.0,
+        ctx.deletions, stops,
+    )
+    assert traces[0] is traces[1]
+    for k, got in zip(stops, copies):
+        assert state_key(got) == state_key(replay(ctx.actual, future[:k], ctx.step_cfg))
 
 
 # ---------------------------------------------------------------------------

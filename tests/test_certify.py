@@ -2,19 +2,16 @@
 
 import math
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from statealign import certify
 from statealign.certify import (
     BoundInputs,
     Certificate,
     calibrate_sigma,
     certificate,
-    contraction_ratios,
     deviation_bound,
     deviation_bound_trace,
     empirical_contraction,
@@ -26,17 +23,10 @@ from statealign.errors import (
     LengthMismatch,
 )
 from statealign.metrics import make_probes
-from statealign.olbfgs import StepConfig
+from statealign.olbfgs import StepConfig, initial_state, replay
 from statealign.stream import StreamConfig, generate_stream
 
-
-def mp_sigma(alpha, epsilon, delta):
-    """Gaussian-mechanism noise scale evaluated at 50 decimal digits."""
-    with mpmath.workdps(50):
-        a = mpmath.mpf(repr(alpha))
-        e = mpmath.mpf(repr(epsilon))
-        d = mpmath.mpf(repr(delta))
-        return float(a * mpmath.sqrt(2 * mpmath.log(mpmath.mpf("1.25") / d)) / e)
+from helpers import mp_sigma
 
 
 def test_sigma_matches_high_precision_reference():
@@ -176,50 +166,63 @@ def _static_history(h, length, d=1):
     return list(generate_stream(cfg, 0).events)
 
 
+def _fresh_trials(history, cfg, w=0.0):
+    """Trials from states with empty memory: the jitter has no pair to move."""
+    state = initial_state(1, cfg)
+    state.w[:] = w
+    return [(state, e) for e in history]
+
+
 def test_contraction_ratio_is_exact_on_static_scalar_quadratic():
-    # with an exact curvature pair the two-loop step is Newton, so a pure
-    # parameter gap contracts by exactly |1 - eta| in one step
+    # with empty memory the two-loop step is the gradient step, so a pure
+    # parameter gap contracts by exactly |1 - eta h| in one step
     history = _static_history(h=3.0, length=24)
-    for eta, want in ((0.1, 0.9), (0.5, 0.5), (2.5, 1.5)):
+    for eta, want in ((0.1, 0.7), (0.5, 0.5), (2.5, 6.5)):
         cfg = StepConfig(eta=eta, tau=4)
-        ratios = contraction_ratios(
-            history, cfg, trials=6, seed=0, probes=PROBES_1D, memory_weight=0.0,
-            perturb_memory=False,
-        )
-        assert len(ratios) == 6
-        np.testing.assert_allclose(ratios, want, rtol=1e-9)
+        for trial in _fresh_trials(history[:6], cfg, w=0.3):
+            rho = empirical_contraction(
+                [trial], cfg, np.random.default_rng(0), PROBES_1D, memory_weight=0.0
+            )
+            assert rho == pytest.approx(want, rel=1e-9)
 
 
 def test_empirical_contraction_is_max_of_ratios():
     history = _static_history(h=2.0, length=24)
     cfg = StepConfig(eta=0.3, tau=4)
-    ratios = contraction_ratios(history, cfg, trials=5, seed=3, probes=PROBES_1D,
-                                memory_weight=0.0, perturb_memory=False)
-    top = empirical_contraction(history, cfg, trials=5, seed=3, probes=PROBES_1D,
-                                memory_weight=0.0, perturb_memory=False)
-    assert top == max(ratios)
+    # Trained states hold pairs, so their jitter draws from the generator too.
+    theta0 = initial_state(1, cfg)
+    trials = [(replay(theta0, history[:p], cfg), history[p]) for p in (0, 3, 3, 9)]
+    top = empirical_contraction(trials, cfg, np.random.default_rng(3), PROBES_1D, 0.0)
+    rng = np.random.default_rng(3)
+    each = [empirical_contraction([t], cfg, rng, PROBES_1D, 0.0) for t in trials]
+    assert len(set(each)) > 1
+    assert top == max(each)
 
 
 @pytest.mark.parametrize(
     "ratios", [[0.5, math.nan, 2.0], [math.nan, 0.5, 2.0], [0.5, 2.0, math.nan]]
 )
-def test_empirical_contraction_is_nan_wherever_a_nan_trial_falls(monkeypatch, ratios):
-    monkeypatch.setattr(certify, "contraction_ratios", lambda *args, **kwargs: ratios)
+def test_empirical_contraction_is_nan_wherever_a_nan_trial_falls(ratios):
+    # A base state with w = nan stands for a diverged trial.
     history = _static_history(h=2.0, length=24)
-    top = empirical_contraction(history, StepConfig(eta=0.3, tau=4), 3, 0, PROBES_1D)
+    cfg = StepConfig(eta=0.3, tau=4)
+    trials = [
+        _fresh_trials([e], cfg, w=math.nan if math.isnan(r) else r)[0]
+        for r, e in zip(ratios, history)
+    ]
+    top = empirical_contraction(trials, cfg, np.random.default_rng(0), PROBES_1D)
     assert math.isnan(top)
 
 
 def test_contraction_rejects_insert_free_history_and_bad_trials():
-    history = _static_history(h=2.0, length=24)
-    with pytest.raises(InvalidConfig):
-        contraction_ratios([], StepConfig(eta=0.1, tau=4), 3, 0, PROBES_1D)
-    with pytest.raises(InvalidConfig):
-        contraction_ratios(history, StepConfig(eta=0.1, tau=4), 0, 0, PROBES_1D)
+    with pytest.raises(InvalidConfig, match="at least one trial"):
+        empirical_contraction([], StepConfig(eta=0.1, tau=4), np.random.default_rng(0), PROBES_1D)
 
 
 def test_contraction_works_on_single_event_history():
     history = _static_history(h=2.0, length=24)[:1]
-    ratios = contraction_ratios(history, StepConfig(eta=0.1, tau=4), trials=3, seed=0,
-                                probes=PROBES_1D, memory_weight=0.0, perturb_memory=False)
-    assert ratios == pytest.approx([0.8, 0.8, 0.8], rel=1e-9)
+    cfg = StepConfig(eta=0.1, tau=4)
+    rho = empirical_contraction(
+        _fresh_trials(history * 3, cfg), cfg, np.random.default_rng(0), PROBES_1D, 0.0
+    )
+    assert rho == pytest.approx(0.8, rel=1e-9)

@@ -409,6 +409,20 @@ def test_window_length_in_anything_but_ascii_digits_exits_1_before_any_work(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("method_id", ["window:03", "window:003"])
+def test_a_window_length_with_a_leading_zero_exits_1_before_any_work(capsys, tmp_path, method_id):
+    """window:3 and window:03 would name one method and give it two rows."""
+    path = tmp_path / "exp.ini"
+    path.write_text(
+        SMALL.replace("interventions = oracle, noop", f"interventions = oracle, window:3, {method_id}")
+    )
+    assert main(["exp2", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert f"config error: bad window length in intervention id {method_id!r}" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
 def test_docstring_and_readme_name_exactly_the_parser_subcommands():
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     commands = sorted(sub.choices)

@@ -68,9 +68,14 @@ def test_edited_config_file_loads_or_raises_a_statealign_error(edit_dir, which, 
     ),
 )
 @example(method_id="window:\u0663")  # ARABIC-INDIC DIGIT THREE, which int() accepts
+@example(method_id="window:03")
+@example(method_id="window:" + "1" * 5000)  # past int()'s digit limit
 def test_any_method_id_parses_or_raises_a_statealign_error(method_id):
     try:
         parse_intervention(method_id)
     except StateAlignError:
         return
     assert method_id.isascii(), method_id
+    if method_id.startswith("window:"):
+        # One id per window: the digits are str(n).
+        assert method_id == f"window:{int(method_id[len('window:'):])}", method_id

@@ -27,40 +27,7 @@ from statealign.stream import (
     generate_stream,
 )
 
-
-def dense_inverse_hessian(state) -> np.ndarray:
-    """Brute-force inverse-Hessian estimate built by the textbook recursion.
-
-    Starts from gamma * I, gamma = s'y / y'y of the newest pair, and applies
-    every stored pair oldest to newest:
-    M <- (I - rho s y^T) M (I - rho y s^T) + rho s s^T.
-    """
-    first = len(state.src) - len(state)
-    S, Y = state.S[first:], state.Y[first:]
-    d = state.w.size
-    gamma = float(S[-1] @ Y[-1]) / float(Y[-1] @ Y[-1])
-    m = gamma * np.eye(d)
-    for s, y in zip(S, Y):
-        rho = 1.0 / float(s @ y)
-        left = np.eye(d) - rho * np.outer(s, y)
-        m = left @ m @ left.T + rho * np.outer(s, s)
-    return m
-
-
-def random_memory(rng, d, n_pairs, tau=8):
-    """A state with zero w and n_pairs random pairs of positive curvature pushed."""
-    mem = initial_state(d, StepConfig(tau=tau))
-    made = 0
-    t = 0
-    while made < n_pairs:
-        t += 1
-        s = rng.normal(size=d)
-        y = rng.normal(size=d)
-        if float(s @ y) <= 1e-3:
-            continue
-        mem.push(s, y, t)
-        made += 1
-    return mem
+from helpers import dense_inverse_hessian, random_memory
 
 
 def test_two_loop_matches_dense_oracle_random_cases():

@@ -88,17 +88,21 @@ def test_traced_grid_run_merges_every_hook_from_two_workers(tmp_path):
         "bench.grid_point",
         "olbfgs.two_loop.probe",
         "olbfgs.two_loop.grad",
-        "certify.step",
+        "certify.empirical_contraction",
         "metrics.direction_gap",
     ):
         assert stats.get(span, [0])[0] > 0, span
-    # The optimizer's traced counts: 216 scalar steps, every pair accepted,
-    # and 989 pairs seen over the 216 + 54 two_loop calls. The step each
-    # contraction trial takes is a LaneBank.move, which neither counts.
+    # The contraction trials start from states the run reaches, so they step no history.
+    assert stats.get("certify.step", [0])[0] == 0
+    # The optimizer's traced counts: 116 scalar steps, every pair accepted,
+    # and 631 pairs seen over the 116 + 54 two_loop calls. The scalar steps
+    # are each point's training (30) and its oracle and window_tau replays;
+    # the step each contraction trial takes is a LaneBank.move, which
+    # neither counts.
     layer = layer_metrics(record)
-    assert layer["olbfgs.advance.pairs_accepted"] == 216
+    assert layer["olbfgs.advance.pairs_accepted"] == 116
     assert layer["olbfgs.advance.pairs_rejected"] == 0
-    assert layer["olbfgs.two_loop.pairs_mean"] == 989 / 270
+    assert layer["olbfgs.two_loop.pairs_mean"] == 631 / 170
 
 
 def test_traced_grid_without_contraction_trials_reports_every_layer_metric(tmp_path):
