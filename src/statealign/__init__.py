@@ -14,15 +14,7 @@ from .bench import (
     run_experiment,
     run_grid,
 )
-from .certify import (
-    BoundInputs,
-    Certificate,
-    calibrate_sigma,
-    certificate,
-    deviation_bound,
-    deviation_bound_trace,
-    empirical_contraction,
-)
+from .certify import calibrate_sigma, deviation_bound, empirical_contraction
 from .interventions import (
     DEFAULT_METHOD_IDS,
     METHODS,

@@ -399,23 +399,16 @@ def run_experiment(cfg: ExperimentConfig, keep_traces: bool = True) -> RunResult
         elif rho_emp < 1.0:
             for row in rows:
                 row.alpha_bound = certify.deviation_bound(
-                    certify.BoundInputs(
-                        rho=rho_emp,
-                        delta0=row.initial_state_err,
-                        perturbations=(0.0,) * len(future),
-                    ),
-                    len(future),
+                    rho_emp, row.initial_state_err, len(future)
                 )
                 row.sigma_cert = certify.calibrate_sigma(
                     row.alpha_bound, cfg.privacy_epsilon, cfg.privacy_delta
                 )
             if noop_trace is not None:
                 errs = noop_trace.state_err
-                bounds = certify.deviation_bound_trace(
-                    certify.BoundInputs(rho_emp, errs[0], (0.0,) * (len(errs) - 1))
-                )
                 for k in range(1, len(errs)):
-                    if errs[k] > bounds[k] * (1.0 + 1e-9) + 1e-15:
+                    bound = certify.deviation_bound(rho_emp, errs[0], k)
+                    if errs[k] > bound * (1.0 + 1e-9) + 1e-15:
                         violations.append(
                             f"contractive-updates: NoOp trace exceeds bound at k={k}"
                         )

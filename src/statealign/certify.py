@@ -2,8 +2,9 @@
 
 Under a rho-contractive update map, the gap between two optimizer states
 driven by the same events obeys a one-step recursion
-Delta_{t+1} <= rho Delta_t + eta_t eps_t, whose closed form this module
-evaluates. Calibrating Gaussian noise to a deviation level alpha gives an
+Delta_{t+1} <= rho Delta_t + eta_t eps_t. With no later edits (eps_t = 0)
+it closes to Delta_k <= rho^k Delta_0, which this module evaluates.
+Calibrating Gaussian noise to a deviation level alpha gives an
 (eps, delta)-style indistinguishability certificate; the contraction
 factor itself is estimated empirically from perturbed steps of states a
 run reaches.
@@ -11,11 +12,10 @@ run reaches.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfig, InvalidPrivacyParams, InvalidRho, LengthMismatch
+from .errors import InvalidConfig, InvalidPrivacyParams
 from .metrics import state_gaps
 from .olbfgs import LaneBank, OptimizerState, StepConfig
 from .stream import Event
@@ -24,69 +24,10 @@ from .stream import Event
 PERTURB_SCALE = 1e-4
 
 
-@dataclass(frozen=True)
-class BoundInputs:
-    """Ingredients of the deviation recursion.
-
-    perturbations[s] is the product eta_s * eps_s injected at step s; pass
-    zeros for a pure deletion gap with no later edits.
-    """
-
-    rho: float
-    delta0: float
-    perturbations: tuple[float, ...] = ()
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.rho < 1.0:
-            raise InvalidRho(f"rho must lie in (0, 1), got {self.rho}")
-        if self.delta0 < 0:
-            raise InvalidConfig("delta0 must be >= 0")
-        if any(p < 0 for p in self.perturbations):
-            raise InvalidConfig("perturbations must be >= 0")
-
-
-@dataclass(frozen=True)
-class Certificate:
-    """Noise level sigma achieving (epsilon, delta + beta) at deviation alpha.
-
-    beta is the probability mass on which the deviation bound itself may
-    fail; exact (alpha = 0) certificates need no noise.
-    """
-
-    alpha: float
-    sigma: float
-    epsilon: float
-    delta: float
-    beta: float = 0.0
-
-    @property
-    def exact(self) -> bool:
-        return self.alpha == 0.0
-
-
-def deviation_bound(inputs: BoundInputs, steps: int) -> float:
-    """Closed-form gap bound after `steps` shared events.
-
-    Delta_k <= rho^k Delta_0 + sum_{s<k} rho^{k-1-s} perturbations[s].
-    """
-    if steps < 0:
-        raise InvalidConfig("steps must be >= 0")
-    if len(inputs.perturbations) != steps:
-        raise LengthMismatch(
-            f"need {steps} perturbation entries, got {len(inputs.perturbations)}"
-        )
-    total = inputs.delta0 * inputs.rho**steps
-    for s, p in enumerate(inputs.perturbations):
-        total += inputs.rho ** (steps - 1 - s) * p
-    return total
-
-
-def deviation_bound_trace(inputs: BoundInputs) -> list[float]:
-    """One-step recursion iterate: [Delta_0, Delta_1, ..., Delta_n]."""
-    out = [inputs.delta0]
-    for p in inputs.perturbations:
-        out.append(inputs.rho * out[-1] + p)
-    return out
+def deviation_bound(rho: float, delta0: float, steps: int) -> float:
+    """Gap bound after `steps` shared events with no later edits: delta0 * rho**steps."""
+    # Python float power, not a numpy array power, whose SIMD path can round differently.
+    return delta0 * rho**steps
 
 
 def calibrate_sigma(alpha: float, epsilon: float, delta: float) -> float:
@@ -104,18 +45,6 @@ def calibrate_sigma(alpha: float, epsilon: float, delta: float) -> float:
     if alpha == 0.0:
         return 0.0
     return alpha * math.sqrt(2.0 * math.log(1.25 / delta)) / epsilon
-
-
-def certificate(alpha: float, epsilon: float, delta: float, beta: float = 0.0) -> Certificate:
-    if not 0.0 <= beta < math.inf:
-        raise InvalidPrivacyParams("beta must be finite and >= 0")
-    return Certificate(
-        alpha=alpha,
-        sigma=calibrate_sigma(alpha, epsilon, delta),
-        epsilon=epsilon,
-        delta=delta,
-        beta=beta,
-    )
 
 
 def _perturbed_copy(state: OptimizerState, rng: np.random.Generator) -> OptimizerState:

@@ -14,6 +14,7 @@ Result files are written atomically (temp file, then rename).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bench, certify, configio, metrics
-from .errors import InvalidConfig, StateAlignError
+from .errors import InvalidConfig, InvalidPrivacyParams, StateAlignError
 from .interventions import apply as apply_intervention
 from .olbfgs import LaneBank
 
@@ -133,13 +134,20 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    cert = certify.certificate(args.alpha, args.eps, args.delta, args.beta)
-    print(f"sigma {cert.sigma!r}")
-    print(f"alpha {cert.alpha!r}")
-    print(f"epsilon {cert.epsilon!r}")
-    print(f"delta {cert.delta!r}")
-    print(f"beta {cert.beta!r}")
-    print(f"exact {str(cert.exact).lower()}")
+    # beta is the mass on which the deviation bound itself may fail; it is only reported.
+    if not 0.0 <= args.beta < math.inf:
+        raise InvalidPrivacyParams("beta must be finite and >= 0")
+    sigma = certify.calibrate_sigma(args.alpha, args.eps, args.delta)
+    if not math.isfinite(sigma):
+        raise InvalidPrivacyParams(
+            f"sigma must be finite, got {sigma!r} from alpha={args.alpha!r}, eps={args.eps!r}"
+        )
+    print(f"sigma {sigma!r}")
+    print(f"alpha {args.alpha!r}")
+    print(f"epsilon {args.eps!r}")
+    print(f"delta {args.delta!r}")
+    print(f"beta {args.beta!r}")
+    print(f"exact {str(args.alpha == 0.0).lower()}")
     return EXIT_OK
 
 

@@ -2,9 +2,9 @@
 
 Files are flat key = value text grouped into [stream], [optimizer],
 [experiment] and [grid] sections; keys mirror the dataclass field names
-(see StreamConfig, StepConfig, ExperimentConfig). Unknown keys are
-rejected so typos fail loudly. The [grid] section holds comma-separated
-axis values, e.g. `kappa = 3, 10, 30`.
+(see StreamConfig, StepConfig, ExperimentConfig). Unknown sections and
+keys are rejected so typos fail loudly. The [grid] section holds
+comma-separated axis values, e.g. `kappa = 3, 10, 30`.
 """
 from __future__ import annotations
 
@@ -81,6 +81,13 @@ def _read(path: str | Path) -> configparser.ConfigParser:
         parser.read(p, encoding="utf-8")
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise InvalidConfig(f"cannot parse {p}: {exc}") from exc
+    # configparser copies [DEFAULT] keys into every other section, and a
+    # section nobody reads would be ignored: both would hide a typo.
+    if parser.defaults():
+        raise InvalidConfig(f"unknown section [{parser.default_section}] in {p}")
+    for section in parser.sections():
+        if section not in ("stream", "optimizer", "experiment", "grid"):
+            raise InvalidConfig(f"unknown section [{section}] in {p}")
     return parser
 
 

@@ -35,14 +35,6 @@ class IntervalTooShort(StateAlignError):
     """A decay fit needs at least three trace points."""
 
 
-class LengthMismatch(StateAlignError):
-    """A perturbation schedule does not match the step count."""
-
-
-class InvalidRho(StateAlignError):
-    """Deviation bounds require a contraction factor in (0, 1)."""
-
-
 class InvalidPrivacyParams(InvalidConfig):
     """Noise calibration requires eps > 0, delta in (0, 1), alpha >= 0, all finite."""
 

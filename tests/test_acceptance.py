@@ -18,7 +18,7 @@ from statealign.bench import (
     run_grid,
     write_results_csv,
 )
-from statealign.certify import BoundInputs, calibrate_sigma, deviation_bound
+from statealign.certify import calibrate_sigma, deviation_bound
 from statealign.metrics import fit_decay_rate
 from statealign.olbfgs import StepConfig, two_loop
 from statealign.stream import DeletionMode, StreamConfig
@@ -176,9 +176,7 @@ def test_criterion_06_deviation_bound_covers_noop_traces():
             continue
         trace = res.traces["noop"].state_err
         for k in range(len(trace)):
-            bound = deviation_bound(
-                BoundInputs(rho=rho, delta0=float(trace[0]), perturbations=(0.0,) * k), k
-            )
+            bound = deviation_bound(rho, float(trace[0]), k)
             if trace[k] > bound * (1.0 + 1e-9) + 1e-15:
                 failures.append(
                     f"seed {seed}: E_theta({k})={trace[k]!r} exceeds bound {bound!r}"

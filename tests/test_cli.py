@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from statealign import bench, cli
+from statealign.certify import calibrate_sigma
 from statealign.cli import build_parser, main
 from statealign.interventions import DEFAULT_METHOD_IDS
 
@@ -60,6 +61,12 @@ def test_certify_prints_exact_zero_sigma(capsys):
     out = capsys.readouterr().out
     assert "sigma 0.0" in out
     assert "exact true" in out
+    argv = ["certify", "--alpha", "0.5", "--eps", "1", "--delta", "0.05", "--beta", "0.01"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert f"sigma {calibrate_sigma(0.5, 1.0, 0.05)!r}" in lines
+    assert "beta 0.01" in lines
+    assert "exact false" in lines
 
 
 def test_missing_config_file_exits_1(capsys, tmp_path):
@@ -74,6 +81,15 @@ def test_unknown_config_key_exits_1(capsys, tmp_path):
     path = tmp_path / "exp.ini"
     path.write_text("[stream]\nduration = 9\n")
     assert main(["exp2", "--config", str(path)]) == 1
+
+
+def test_misspelled_config_section_exits_1(capsys, tmp_path):
+    path = tmp_path / "exp.ini"
+    path.write_text(SMALL + "\n[optimiser]\neta = 5.0\n")
+    assert main(["exp2", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "config error: unknown section [optimiser]" in captured.err
+    assert "exact_recovery" not in captured.out
 
 
 def test_bad_seed_list_exits_1(capsys, tmp_path):
@@ -190,6 +206,10 @@ def test_non_utf8_config_file_exits_1(capsys, tmp_path):
         ["--alpha", "0.25", "--eps", "0", "--delta", "0.05"],
         ["--alpha", "0.25", "--eps", "1", "--delta", "1"],
         ["--alpha", "nan", "--eps", "1", "--delta", "0.05"],
+        ["--alpha", "0.25", "--eps", "1", "--delta", "0.05", "--beta", "nan"],
+        ["--alpha", "0.25", "--eps", "1", "--delta", "0.05", "--beta", "inf"],
+        ["--alpha", "0.25", "--eps", "1", "--delta", "0.05", "--beta", "-1"],
+        ["--alpha", "1e308", "--eps", "0.001", "--delta", "0.05"],
     ],
 )
 def test_certify_bad_argument_exits_1(capsys, argv):

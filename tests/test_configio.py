@@ -70,6 +70,23 @@ def test_unknown_keys_fail_loudly(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize(
+    "text, section",
+    [
+        ("[optimiser]\neta = 5.0\n", "optimiser"),
+        ("[DEFAULT]\neta = 5.0\n\n[optimizer]\ntau = 3\n", "DEFAULT"),
+    ],
+    ids=["misspelled", "default-keys"],
+)
+def test_unknown_sections_fail_loudly(tmp_path, text, section):
+    path = tmp_path / "exp.ini"
+    path.write_text(text)
+    with pytest.raises(InvalidConfig, match=rf"unknown section \[{section}\]"):
+        load_config(path)
+    with pytest.raises(InvalidConfig, match=rf"unknown section \[{section}\]"):
+        load_grid_axes(path)
+
+
 def test_bad_values_name_the_key(tmp_path):
     path = tmp_path / "exp.ini"
     path.write_text("[stream]\nlength = soon\n")
