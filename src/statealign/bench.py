@@ -212,8 +212,11 @@ def _propagate_lanes(
     so a start state equal to the oracle gets exactly the trace its own
     propagation would give.
     The lanes step together in one LaneBank and are measured together by
-    `metrics.state_gaps` and `metrics.direction_gap`, with the bits that
-    `advance`, `two_loop` and the metrics give lane by lane. For each k in
+    `metrics.state_gaps` and `metrics.direction_gap`. Every w, pair,
+    direction, loss and direct mass has the bits that `advance` gives lane
+    by lane; E_Z comes from the bank's compact probe action, which gives
+    each lane the same bits in any bank, so lane 0 against itself is
+    exactly 0. For each k in
     `stops`, the lane of the last start state is copied out before
     future[k] is stepped. Returns one trace per start state, in order, and
     the copies, in `stops` order.
@@ -234,7 +237,9 @@ def _propagate_lanes(
 
     for k in range(h + 1):
         param[:, k], memory[:, k], state[:, k] = metrics.state_gaps(bank, probes, memory_weight)
-        mass[:, k] = direct_mass(bank, deletions)
+        # No future event is deleted, so once every count is 0 it stays 0.
+        if k == 0 or mass[:, k - 1].any():
+            mass[:, k] = direct_mass(bank, deletions)
         if k in copies:
             copies[k] = bank.lane(tapped)
         if k < h:

@@ -56,14 +56,19 @@ def _section_kwargs(parser: configparser.ConfigParser, section: str, cls) -> dic
 
 
 def load_grid_axes(path: str | Path) -> dict[str, list]:
+    """The [grid] axes of a file; two axes that set one field (an alias and its field) are an error."""
     parser = _read(path)
     axes: dict[str, list] = {}
+    setters: dict[str, str] = {}
     if parser.has_section("grid"):
         for key, raw in parser.items("grid"):
             try:
-                kind = int if key == "seed" else grid_axis_field(key)[2]
+                target, kind = ("seed", int) if key == "seed" else grid_axis_field(key)[1:]
             except InvalidAxis as exc:
                 raise InvalidConfig(f"unknown key {key!r} in [grid]") from exc
+            if target in setters:
+                raise InvalidConfig(f"grid axes {setters[target]!r} and {key!r} both set {target}")
+            setters[target] = key
             values = parse_value(raw, tuple[kind, ...], key)
             if not values:
                 raise InvalidConfig(f"grid axis {key!r} has no values")

@@ -8,7 +8,10 @@ pair only when s'y exceeds a curvature threshold. Every pair records the
 index of the event that produced it, which is what deletion audits consume.
 A state keeps its pairs in the ring layout of one LaneBank lane, and a
 LaneBank steps several states together with one batched two-loop per step
-and the same bits as stepping each state alone.
+and the same bits as stepping each state alone. A LaneBank applies its
+operators to a shared block (the metric's probes) in compact form, with
+batched products and no loop over pairs, which agrees with the recursion
+to rounding.
 """
 from __future__ import annotations
 
@@ -127,7 +130,8 @@ class LaneBank:
     every empty slot holds zero vectors with rho = 0; lane i holds the
     arrays of states[i]. rho and gamma (1 on an empty lane) come from
     `dots`, with the bits of the products `two_loop` evaluates, so the
-    batched recursion gives every lane its scalar result bit for bit. `src`
+    batched recursion in `move` gives every lane its scalar direction bit
+    for bit. `src`
     is the (lanes, tau) ring of each pair's source event index, -1 in empty
     slots. len(bank) is the deepest lane's pair count.
     """
@@ -194,6 +198,8 @@ class LaneBank:
 def _lanes_two_loop(bank: LaneBank, q: np.ndarray) -> np.ndarray:
     """Each lane's `two_loop` on its own columns: q and the result are (lanes, d, m).
 
+    `move` takes its directions from here, with the scalar recursion's bits.
+
     Slots are walked in the order the scalar recursion walks pairs, and every
     dot product is a stacked (1, d) @ (d, m) matmul. In a slot that is empty
     in some lanes, those lanes' updates are masked to exact identities
@@ -221,14 +227,55 @@ def _lanes_two_loop(bank: LaneBank, q: np.ndarray) -> np.ndarray:
     return r
 
 
+def _compact_two_loop(bank: LaneBank, p: np.ndarray) -> np.ndarray:
+    """Every lane's operator applied to the shared (d, m) block p: (lanes, d, m).
+
+    The compact form of Byrd, Nocedal and Schnabel (1994, "Representations
+    of quasi-Newton matrices"). With a lane's pairs as the rows of S and Y,
+    oldest first, R the upper triangle of S Yᵀ and D its diagonal, the
+    recursion's two loops are two triangular solves:
+
+        Z = R⁻¹ S p,  u = p − Yᵀ Z,  T = R⁻ᵀ (D Z − γ Y u),  H p = γ u + Sᵀ T.
+
+    An empty slot's rows are zero and get a unit pivot, so it adds nothing.
+    Both solves multiply by one explicit R⁻¹, and the second, whose result
+    carries the operator's scale, takes one step of iterative refinement.
+    Every product is stacked over lanes, so a lane's result depends on its
+    own arrays only. A lane whose R is not finite or has a zero pivot gets
+    nan; overflow and invalid values raise no warning.
+    """
+    tau = bank.tau
+    S, Y = bank.S, bank.Y
+    St, Yt = S.transpose(0, 2, 1), Y.transpose(0, 2, 1)
+    gamma = bank.gamma[:, None, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        R = np.triu(S @ Yt)
+        pivots = R.reshape(len(R), -1)[:, :: tau + 1]  # a view of each lane's diagonal
+        D = pivots[:, :, None].copy()
+        pivots += bank.src < 0
+        bad = ~(np.isfinite(R).all(axis=(1, 2)) & pivots.all(axis=1))
+        if bad.any():
+            R[bad] = np.eye(tau)
+        R_inv = np.linalg.inv(R)
+        R_inv[bad] = np.nan
+        Z = R_inv @ (S @ p)
+        u = p - Yt @ Z
+        rhs = D * Z - gamma * (Y @ u)
+        T = R_inv.transpose(0, 2, 1) @ rhs
+        T += R_inv.transpose(0, 2, 1) @ (rhs - R.transpose(0, 2, 1) @ T)
+        return gamma * u + St @ T
+
+
 def two_loop(memory: OptimizerState | LaneBank, q: np.ndarray) -> np.ndarray:
     """Apply the inverse-Hessian approximation of `memory` to q.
 
     q may be a single vector (d,) or a column stack (d, m); the operator is
     linear, so columns are transformed independently. The initial scaling
     is s'y / y'y of the newest pair; empty memory applies the identity. A
-    LaneBank applies every lane's operator to the same q and stacks the
-    results, (lanes, d) or (lanes, d, m).
+    LaneBank applies every lane's operator to the same q in compact form
+    (`_compact_two_loop`) and stacks the results, (lanes, d) or
+    (lanes, d, m); they agree with the recursion to rounding, not bit for
+    bit.
     """
     single = q.ndim == 1
     block = q[:, None] if single else q
@@ -236,7 +283,7 @@ def two_loop(memory: OptimizerState | LaneBank, q: np.ndarray) -> np.ndarray:
     if block.shape[0] != d:
         raise DimensionMismatch(f"probe dimension {block.shape[0]} != memory dimension {d}")
     if isinstance(memory, LaneBank):
-        out = _lanes_two_loop(memory, np.broadcast_to(block, (len(memory.w), *block.shape)))
+        out = _compact_two_loop(memory, np.asarray(block, dtype=np.float64))
         return out[:, :, 0] if single else out
     qq = block.astype(np.float64, copy=True)
     n = len(memory)

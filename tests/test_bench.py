@@ -31,7 +31,15 @@ from statealign.bench import (
 from statealign.errors import EmptyResults, InvalidAxis, InvalidConfig
 from statealign.interventions import DEFAULT_METHOD_IDS, apply as apply_intervention
 from statealign.metrics import MetricTrace, make_probes
-from statealign.olbfgs import StepConfig, advance, direct_mass, replay, state_key, two_loop
+from statealign.olbfgs import (
+    LaneBank,
+    StepConfig,
+    advance,
+    direct_mass,
+    replay,
+    state_key,
+    two_loop,
+)
 from statealign.stream import Regime, StreamConfig, edit_history
 
 
@@ -249,10 +257,12 @@ def test_identical_start_states_share_one_propagation(monkeypatch):
 
 
 def reference_propagation(oracle0, starts, future, cfg, probes, memory_weight, deletions):
-    """_propagate_lanes before the lane bank: scalar two_loop and advance, lane by lane.
+    """_propagate_lanes before the lane bank: scalar advance, lane by lane.
 
-    The distances are written out per lane with np.linalg.norm and 1-D `@`,
-    so the comparison does not go through the stacked metric functions.
+    Each lane's probe action is the compact one of a one-lane bank, which
+    gives a lane the same bits as in any bank. The distances are written
+    out per lane with np.linalg.norm and 1-D `@`, so the comparison does
+    not go through the stacked metric functions.
     """
     keys = [state_key(st) for st in (oracle0, *starts)]
     by_key = dict(zip(keys, (oracle0, *starts)))
@@ -267,7 +277,7 @@ def reference_propagation(oracle0, starts, future, cfg, probes, memory_weight, d
     loss = np.full((n, h + 1), np.nan)
 
     for k in range(h + 1):
-        actions = [two_loop(st, probes) for st in lanes]
+        actions = [two_loop(LaneBank([st]), probes)[0] for st in lanes]
         for i, st in enumerate(lanes):
             e_w = float(np.linalg.norm(st.w - lanes[0].w))
             diff = actions[i] - actions[0]

@@ -228,6 +228,22 @@ def test_unknown_grid_axis_exits_1(capsys, tmp_path):
     assert "foo" in err
 
 
+@pytest.mark.parametrize(
+    "axes",
+    ["kappa = 2.0, 10.0\ncondition_number = 50.0", "deletion_time = 20\nt_del = 25, 30"],
+)
+def test_grid_axes_that_set_one_field_exit_1(capsys, tmp_path, axes):
+    path = tmp_path / "grid.ini"
+    path.write_text(SMALL + "\n[grid]\n" + axes + "\n")
+    out = tmp_path / "runs"
+    assert main(["grid", "--config", str(path), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    first, second = (line.split(" =")[0] for line in axes.splitlines())
+    assert f"config error: grid axes {first!r} and {second!r} both set" in captured.err
+    assert "median_auc" not in captured.out
+    assert not out.exists()
+
+
 def test_unwritable_output_exits_2(capsys, small_cfg, tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("")

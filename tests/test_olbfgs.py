@@ -1,5 +1,7 @@
 """Two-loop recursion against a dense-matrix oracle, plus state mechanics."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -125,6 +127,18 @@ def same_bits(a, b):
     )
 
 
+def random_bank(rng, lanes, d, tau):
+    """Lanes whose depths vary from empty to past capacity (ring eviction);
+    some candidate pairs fail the curvature test, and lane 1 is emptied."""
+    memories = [
+        lane_memory(rng, d, tau, int(rng.integers(0, 2 * tau + 2)), 0.1)
+        for _ in range(lanes)
+    ]
+    if lanes > 1:
+        memories[1].keep(np.zeros(tau, dtype=bool))
+    return memories, LaneBank(memories)
+
+
 @given(
     seed=st.integers(0, 2**32 - 1),
     lanes=st.integers(1, 5),
@@ -135,32 +149,89 @@ def same_bits(a, b):
 )
 @settings(max_examples=150, deadline=None)
 def test_lane_bank_two_loop_matches_scalar_bit_for_bit(seed, lanes, d, tau, columns, special_rate):
+    """The batched recursion behind `move`, on a shared block and on per-lane vectors."""
     rng = np.random.default_rng(seed)
-    # Lane depths vary from empty to past capacity (ring eviction), and some
-    # candidate pairs fail the curvature test.
-    memories = [
-        lane_memory(rng, d, tau, int(rng.integers(0, 2 * tau + 2)), 0.1)
-        for _ in range(lanes)
-    ]
-    if lanes > 1:
-        memories[1].keep(np.zeros(tau, dtype=bool))
-    bank = LaneBank(memories)
+    memories, bank = random_bank(rng, lanes, d, tau)
     assert len(bank) == max(len(m) for m in memories)
 
     shared = np.stack([random_vector(rng, d, special_rate) for _ in range(columns)], axis=1)
     own = np.stack([random_vector(rng, d, special_rate) for _ in range(lanes)])
     with np.errstate(invalid="ignore", over="ignore"):
-        block = two_loop(bank, shared)
+        block = _lanes_two_loop(bank, np.broadcast_to(shared, (lanes, d, columns)))
         assert block.shape == (lanes, d, columns)
-        vectors = two_loop(bank, shared[:, 0])
-        assert vectors.shape == (lanes, d)
         for i, mem in enumerate(memories):
             assert same_bits(block[i], two_loop(mem, shared))
-            assert same_bits(vectors[i], two_loop(mem, shared[:, 0]))
 
         directions = _lanes_two_loop(bank, own[:, :, None])[:, :, 0]
         for i, mem in enumerate(memories):
             assert same_bits(directions[i], two_loop(mem, own[i]))
+
+
+# -- the compact probe action ----------------------------------------------------
+# two_loop(bank, q) evaluates each lane's operator in compact form, so it
+# agrees with the recursion to rounding, relative to the operator's norm.
+COMPACT_RTOL = 1e-11
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    lanes=st.integers(1, 5),
+    d=st.integers(1, 6),
+    tau=st.integers(1, 40),
+    columns=st.integers(1, 4),
+)
+@settings(max_examples=150, deadline=None)
+def test_lane_bank_two_loop_matches_scalar_to_rounding(seed, lanes, d, tau, columns):
+    rng = np.random.default_rng(seed)
+    memories, bank = random_bank(rng, lanes, d, tau)
+    shared = np.stack([random_vector(rng, d, 0.0) for _ in range(columns)], axis=1)
+    block = two_loop(bank, shared)
+    assert block.shape == (lanes, d, columns)
+    vectors = two_loop(bank, shared[:, 0])
+    assert vectors.shape == (lanes, d)
+    for i, mem in enumerate(memories):
+        scale = np.linalg.norm(dense_inverse_hessian(mem), 2) if len(mem) else 1.0
+        bound = COMPACT_RTOL * scale * np.max(np.abs(shared))
+        assert np.max(np.abs(block[i] - two_loop(mem, shared))) <= bound
+        assert np.max(np.abs(vectors[i] - two_loop(mem, shared[:, 0]))) <= bound
+        if not len(mem):
+            np.testing.assert_array_equal(block[i], shared)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    lanes=st.integers(1, 5),
+    d=st.integers(1, 6),
+    tau=st.integers(1, 40),
+    columns=st.integers(1, 4),
+)
+@settings(max_examples=100, deadline=None)
+def test_compact_action_of_a_lane_has_the_same_bits_in_any_bank(seed, lanes, d, tau, columns):
+    rng = np.random.default_rng(seed)
+    memories, bank = random_bank(rng, lanes, d, tau)
+    shared = rng.normal(size=(d, columns))
+    block = two_loop(bank, shared)
+    order = rng.permutation(lanes)
+    shuffled = two_loop(LaneBank([memories[i] for i in order]), shared)
+    for i, mem in enumerate(memories):
+        assert same_bits(block[i], two_loop(LaneBank([mem]), shared)[0])
+        assert same_bits(block[i], shuffled[int(np.flatnonzero(order == i)[0])])
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("ring", ["S", "Y"])
+def test_a_non_finite_lane_is_quiet_and_leaves_the_other_lanes_alone(bad, ring):
+    rng = np.random.default_rng(5)
+    memories = [lane_memory(rng, 4, 6, 9, 0.1) for _ in range(3)]
+    probes = rng.normal(size=(4, 8))
+    clean = two_loop(LaneBank(memories), probes)
+    assert len(memories[1]) >= 2
+    getattr(memories[1], ring)[-2, 1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = two_loop(LaneBank(memories), probes)
+    assert not np.isfinite(got[1]).all()
+    assert same_bits(got[0], clean[0]) and same_bits(got[2], clean[2])
 
 
 @given(

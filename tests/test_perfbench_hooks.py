@@ -41,9 +41,9 @@ tau = 3, 5
 """
 
 
-def traced_grid_run(tmp_path, config_text: str) -> dict:
-    """The record of `perfbench/child.py run --trace` over a 2-worker grid."""
-    config = tmp_path / "grid.ini"
+def traced_run(tmp_path, config_text: str, command: str, *options: str) -> dict:
+    """The record of `perfbench/child.py run --trace` over one `bench COMMAND` run."""
+    config = tmp_path / "config.ini"
     config.write_text(config_text)
     record_path = tmp_path / "record.json"
     trace_dir = tmp_path / "trace"
@@ -52,11 +52,16 @@ def traced_grid_run(tmp_path, config_text: str) -> dict:
     argv = [
         sys.executable, str(ROOT / "perfbench" / "child.py"), "run", str(record_path),
         "--trace", str(trace_dir), "--",
-        "grid", "--config", str(config), "--workers", "2", "--out", str(tmp_path / "out"),
+        command, "--config", str(config), *options, "--out", str(tmp_path / "out"),
     ]
     proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(record_path.read_text())
+
+
+def traced_grid_run(tmp_path, config_text: str) -> dict:
+    """The record of a traced run over a 2-worker grid."""
+    return traced_run(tmp_path, config_text, "grid", "--workers", "2")
 
 
 @functools.cache
@@ -119,3 +124,18 @@ def test_traced_grid_without_contraction_trials_reports_every_layer_metric(tmp_p
     assert layer["olbfgs.two_loop.probe.calls"] == 2 * 21
     assert layer["metrics.direction_gap.calls"] == 2 * 20
     assert layer["metrics.direction_gap.degenerate"] == 0
+
+
+def test_traced_exp2_run_reports_every_layer_metric_as_strict_json(tmp_path):
+    """Shaped like the exp2 workloads: one un-pooled run whose contraction trials apply probes too."""
+    single = TINY_GRID.split("[grid]")[0]
+    record = traced_run(tmp_path, single, "exp2")
+    assert record["rc"] == 0
+    assert record["trace"]["missing"] == []
+    assert record["trace"]["broken"] == []
+    layer = layer_metrics(record)
+    assert [name for name, value in layer.items() if value is None] == []
+    json.dumps(layer, allow_nan=False)
+    # metrics.state_gaps applies the probes once per step (20 steps + 1),
+    # and twice more per contraction trial.
+    assert layer["olbfgs.two_loop.probe.calls"] >= 20 + 1
