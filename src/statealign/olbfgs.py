@@ -6,12 +6,12 @@ the two-loop direction with a constant step size, then forms
 s = w' - w and y = grad(w') - grad(w) from the same event, accepting the
 pair only when s'y exceeds a curvature threshold. Every pair records the
 index of the event that produced it, which is what deletion audits consume.
-A state keeps its pairs in the ring layout of one LaneBank lane, and a
-LaneBank steps several states together with one batched two-loop per step
-and the same bits as stepping each state alone. A LaneBank applies its
-operators to a shared block (the metric's probes) in compact form, with
-batched products and no loop over pairs, which agrees with the recursion
-to rounding.
+A state keeps its pairs in the ring layout of one LaneBank lane. Every
+application of a memory, the search directions of a state or of a bank and
+the metric's probe action alike, runs through one kernel: the compact form
+of the two-loop recursion, with batched products and no loop over pairs.
+A lane gets the same bits in any bank, so a LaneBank steps several states
+together with the bits of stepping each state alone.
 """
 from __future__ import annotations
 
@@ -127,13 +127,11 @@ class LaneBank:
 
     `w` is (lanes, d). S and Y are (lanes, tau, d) rings, right-aligned: a
     lane holding n pairs keeps them oldest first in its last n slots, and
-    every empty slot holds zero vectors with rho = 0; lane i holds the
-    arrays of states[i]. rho and gamma (1 on an empty lane) come from
-    `dots`, with the bits of the products `two_loop` evaluates, so the
-    batched recursion in `move` gives every lane its scalar direction bit
-    for bit. `src`
-    is the (lanes, tau) ring of each pair's source event index, -1 in empty
-    slots. len(bank) is the deepest lane's pair count.
+    every empty slot holds zero vectors; lane i holds the arrays of
+    states[i]. gamma is the newest pair's s'y / y'y (1 on an empty lane),
+    from `dots`, with the same bits whether the bank was built or pushed.
+    `src` is the (lanes, tau) ring of each pair's source event index, -1 in
+    empty slots. len(bank) is the deepest lane's pair count.
     """
 
     def __init__(self, states: list[OptimizerState]) -> None:
@@ -146,11 +144,9 @@ class LaneBank:
         self.src = np.array([st.src for st in states], dtype=np.int64)
         filled = self.src >= 0
         self.depth = filled.sum(axis=1)
-        sy = dots(self.S, self.Y)
-        self.rho = np.divide(1.0, sy, out=np.zeros_like(sy), where=filled)
         newest = self.Y[:, -1]
         self.gamma = np.divide(
-            sy[:, -1], dots(newest, newest), out=np.ones(len(sy)), where=filled[:, -1]
+            dots(self.S[:, -1], newest), dots(newest, newest), out=np.ones(len(filled)), where=filled[:, -1]
         )
 
     def __len__(self) -> int:
@@ -166,7 +162,7 @@ class LaneBank:
         Every pair pushed in one call comes from event index `source`. A
         full lane evicts its oldest pair.
         """
-        for ring, new in ((self.S, s), (self.Y, y), (self.rho, 1.0 / sy), (self.src, source)):
+        for ring, new in ((self.S, s), (self.Y, y), (self.src, source)):
             ring[lanes, :-1] = ring[lanes, 1:]
             ring[lanes, -1] = new
         self.gamma[lanes] = sy / dots(y, y)
@@ -176,13 +172,13 @@ class LaneBank:
         """Every lane's `advance` on one event, in place.
 
         Gradients are taken lane by lane; the directions come from one
-        batched two-loop. Returns the pre-move losses and the (lanes, d)
-        search directions.
+        call of the compact two-loop on the (lanes, d, 1) gradient block.
+        Returns the pre-move losses and the (lanes, d) search directions.
         """
         w = self.w
         losses, grads = zip(*(loss_and_grad(event.payload, wi) for wi in w))
         g = np.array(grads)
-        direction = -_lanes_two_loop(self, g[:, :, None])[:, :, 0]
+        direction = -_compact_two_loop(self, g[:, :, None])[:, :, 0]
         w_next = w + cfg.eta * direction
         g_next = np.array([loss_and_grad(event.payload, wi)[1] for wi in w_next])
         s = w_next - w
@@ -195,55 +191,30 @@ class LaneBank:
         return list(losses), direction
 
 
-def _lanes_two_loop(bank: LaneBank, q: np.ndarray) -> np.ndarray:
-    """Each lane's `two_loop` on its own columns: q and the result are (lanes, d, m).
-
-    `move` takes its directions from here, with the scalar recursion's bits.
-
-    Slots are walked in the order the scalar recursion walks pairs, and every
-    dot product is a stacked (1, d) @ (d, m) matmul. In a slot that is empty
-    in some lanes, those lanes' updates are masked to exact identities
-    (subtract +0.0, add -0.0), so no value of q, inf and -0.0 included,
-    changes there.
-    """
-    r = np.array(q, dtype=np.float64, order="C")
-    tau, depth = bank.tau, bank.depth
-    oldest = tau - int(depth.max())
-    shared = tau - int(depth.min())  # slots from here on are filled in every lane
-    alphas = []
-    for j in range(tau - 1, oldest - 1, -1):
-        alpha = bank.rho[:, j, None] * (bank.S[:, j, None, :] @ r)[:, 0, :]
-        if j < shared:
-            alpha = np.where(depth[:, None] >= tau - j, alpha, 0.0)
-        r -= bank.Y[:, j, :, None] * alpha[:, None, :]
-        alphas.append(alpha)
-    r *= bank.gamma[:, None, None]
-    for j, alpha in zip(range(oldest, tau), reversed(alphas)):
-        beta = bank.rho[:, j, None] * (bank.Y[:, j, None, :] @ r)[:, 0, :]
-        coef = alpha - beta
-        if j < shared:
-            coef = np.where(depth[:, None] >= tau - j, coef, -0.0)
-        r += bank.S[:, j, :, None] * coef[:, None, :]
-    return r
-
-
 def _compact_two_loop(bank: LaneBank, p: np.ndarray) -> np.ndarray:
-    """Every lane's operator applied to the shared (d, m) block p: (lanes, d, m).
+    """Every lane's operator applied to p: (lanes, d, m).
 
-    The compact form of Byrd, Nocedal and Schnabel (1994, "Representations
-    of quasi-Newton matrices"). With a lane's pairs as the rows of S and Y,
-    oldest first, R the upper triangle of S Yᵀ and D its diagonal, the
-    recursion's two loops are two triangular solves:
+    p is a (d, m) block shared by every lane, such as the metric's probes,
+    or a (lanes, d, m) block of each lane's own columns, such as the
+    gradients `move` turns into directions. This is the compact form of
+    Byrd, Nocedal and Schnabel (1994, "Representations of quasi-Newton
+    matrices"). With a lane's pairs as the rows of S and Y, oldest first,
+    R the upper triangle of S Yᵀ and D its diagonal, the recursion's two
+    loops are two triangular solves:
 
         Z = R⁻¹ S p,  u = p − Yᵀ Z,  T = R⁻ᵀ (D Z − γ Y u),  H p = γ u + Sᵀ T.
 
     An empty slot's rows are zero and get a unit pivot, so it adds nothing.
     Both solves multiply by one explicit R⁻¹, and the second, whose result
     carries the operator's scale, takes one step of iterative refinement.
-    Every product is stacked over lanes, so a lane's result depends on its
-    own arrays only. A lane whose R is not finite or has a zero pivot gets
-    nan; overflow and invalid values raise no warning.
+    Every product is stacked over lanes, so a lane's result depends only
+    on its own arrays and the values of its columns, bit for bit (p is made
+    C-contiguous first, since numpy's matmul takes a strided column down
+    another path). An empty lane returns its columns of p unchanged, inf,
+    nan and -0.0 included. A lane whose R is not finite or has a zero pivot
+    gets nan; overflow and invalid values raise no warning.
     """
+    p = np.ascontiguousarray(p, dtype=np.float64)
     tau = bank.tau
     S, Y = bank.S, bank.Y
     St, Yt = S.transpose(0, 2, 1), Y.transpose(0, 2, 1)
@@ -263,7 +234,11 @@ def _compact_two_loop(bank: LaneBank, p: np.ndarray) -> np.ndarray:
         rhs = D * Z - gamma * (Y @ u)
         T = R_inv.transpose(0, 2, 1) @ rhs
         T += R_inv.transpose(0, 2, 1) @ (rhs - R.transpose(0, 2, 1) @ T)
-        return gamma * u + St @ T
+        out = gamma * u + St @ T
+    empty = bank.depth == 0
+    if empty.any():
+        out[empty] = np.broadcast_to(p, out.shape)[empty]
+    return out
 
 
 def two_loop(memory: OptimizerState | LaneBank, q: np.ndarray) -> np.ndarray:
@@ -272,38 +247,22 @@ def two_loop(memory: OptimizerState | LaneBank, q: np.ndarray) -> np.ndarray:
     q may be a single vector (d,) or a column stack (d, m); the operator is
     linear, so columns are transformed independently. The initial scaling
     is s'y / y'y of the newest pair; empty memory applies the identity. A
-    LaneBank applies every lane's operator to the same q in compact form
-    (`_compact_two_loop`) and stacks the results, (lanes, d) or
-    (lanes, d, m); they agree with the recursion to rounding, not bit for
-    bit.
+    state is applied as a one-lane LaneBank, and a LaneBank applies every
+    lane's operator to the same q and stacks the results, (lanes, d) or
+    (lanes, d, m). Both run `_compact_two_loop`, so a state's result has
+    the bits of its lane in any bank; it agrees with the textbook recursion
+    to rounding, not bit for bit.
     """
     single = q.ndim == 1
     block = q[:, None] if single else q
     d = memory.w.shape[-1]
     if block.shape[0] != d:
         raise DimensionMismatch(f"probe dimension {block.shape[0]} != memory dimension {d}")
-    if isinstance(memory, LaneBank):
-        out = _compact_two_loop(memory, np.asarray(block, dtype=np.float64))
-        return out[:, :, 0] if single else out
-    qq = block.astype(np.float64, copy=True)
-    n = len(memory)
-    if not n:
-        return qq[:, 0] if single else qq
-    pairs = list(zip(memory.S[-n:], memory.Y[-n:]))  # oldest first
-
-    stack: list[tuple[np.ndarray, np.ndarray, float, np.ndarray]] = []
-    for s, y in reversed(pairs):
-        rho = 1.0 / float(s @ y)
-        alpha = rho * (s @ qq)
-        qq -= y[:, None] * alpha[None, :]
-        stack.append((s, y, rho, alpha))
-
-    s, y = pairs[-1]
-    r = (float(s @ y) / float(y @ y)) * qq
-    for s, y, rho, alpha in reversed(stack):
-        beta = rho * (y @ r)
-        r += s[:, None] * (alpha - beta)[None, :]
-    return r[:, 0] if single else r
+    bank = memory if isinstance(memory, LaneBank) else LaneBank([memory])
+    out = _compact_two_loop(bank, block)
+    if bank is not memory:
+        out = out[0]
+    return out[..., 0] if single else out
 
 
 def advance(state: OptimizerState, event: Event, cfg: StepConfig) -> tuple[OptimizerState, StepInfo]:

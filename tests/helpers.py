@@ -38,6 +38,35 @@ def dense_inverse_hessian(state) -> np.ndarray:
     return m
 
 
+def recursion_two_loop(state, q):
+    """The textbook two-loop recursion (Nocedal 1980) on a state: the differential reference.
+
+    q is (d,) or (d, m). Pairs are walked newest to oldest and back, from
+    gamma * I with gamma = s'y / y'y of the newest pair; empty memory
+    returns a copy of q.
+    """
+    single = q.ndim == 1
+    qq = np.array(q[:, None] if single else q, dtype=np.float64)
+    n = len(state)
+    if not n:
+        return qq[:, 0] if single else qq
+    pairs = list(zip(state.S[-n:], state.Y[-n:]))  # oldest first
+
+    stack = []
+    for s, y in reversed(pairs):
+        rho = 1.0 / float(s @ y)
+        alpha = rho * (s @ qq)
+        qq -= y[:, None] * alpha[None, :]
+        stack.append((s, y, rho, alpha))
+
+    s, y = pairs[-1]
+    r = (float(s @ y) / float(y @ y)) * qq
+    for s, y, rho, alpha in reversed(stack):
+        beta = rho * (y @ r)
+        r += s[:, None] * (alpha - beta)[None, :]
+    return r[:, 0] if single else r
+
+
 def random_memory(rng, d, n_pairs, tau=8):
     """A state with zero w and n_pairs random pairs of positive curvature pushed."""
     mem = initial_state(d, StepConfig(tau=tau))

@@ -156,6 +156,26 @@ def test_noop_trace_above_the_contraction_bound_is_a_violation(monkeypatch):
     ]
 
 
+def test_a_diverging_run_reports_nan_rows_and_a_violation_without_warnings():
+    cfg = ExperimentConfig(
+        stream=StreamConfig(
+            dimension=10, length=600, deletion_time=200, horizon=400, condition_number=1e6
+        ),
+        optimizer=StepConfig(eta=5.0, tau=5),
+        interventions=("oracle", "noop"),
+        seeds=(0,),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = run_experiment(cfg)
+    for row in res.methods:
+        assert math.isnan(row.future_state_auc) and math.isnan(row.final_state_err)
+    assert res.assumption_violations == [
+        "contractive-updates: rho_emp is nan (a contraction trial diverged)"
+    ]
+    assert np.geterr()["over"] == "warn"
+
+
 def test_a_diverged_contraction_trial_makes_rho_emp_nan_and_a_violation():
     """17 of the 25 trial ratios are nan here, and a finite one comes first."""
     cfg = small_config(

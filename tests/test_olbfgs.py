@@ -1,4 +1,4 @@
-"""Two-loop recursion against a dense-matrix oracle, plus state mechanics."""
+"""The two-loop kernel against a dense-matrix oracle and the recursion, plus state mechanics."""
 
 import warnings
 
@@ -18,7 +18,7 @@ from statealign.olbfgs import (
     state_key,
     step,
     two_loop,
-    _lanes_two_loop,
+    _compact_two_loop,
 )
 from statealign.stream import (
     DeletionSet,
@@ -29,7 +29,7 @@ from statealign.stream import (
     generate_stream,
 )
 
-from helpers import dense_inverse_hessian, random_memory
+from helpers import dense_inverse_hessian, random_memory, recursion_two_loop
 
 
 def test_two_loop_matches_dense_oracle_random_cases():
@@ -48,7 +48,7 @@ def test_two_loop_matches_dense_oracle_random_cases():
 
 
 def test_two_loop_single_pair_is_exact_newton_in_1d():
-    # pair (s, h*s) encodes curvature h; the recursion must return q / h
+    # pair (s, h*s) encodes curvature h; the two-loop must return q / h
     h = 3.7
     s = np.array([0.9])
     mem = initial_state(1, StepConfig(tau=4))
@@ -63,6 +63,13 @@ def test_two_loop_empty_memory_is_the_identity():
     out = two_loop(mem, q)
     assert out.tobytes() == q.tobytes()
     assert out is not q
+    # An empty lane next to filled ones, on a shared block and on its own column.
+    rng = np.random.default_rng(8)
+    bank = LaneBank([random_memory(rng, 4, 3, tau=4), mem, random_memory(rng, 4, 4, tau=4)])
+    block = np.stack([q, np.array([np.nan, -0.0, np.inf, -np.inf])], axis=1)
+    assert two_loop(bank, block)[1].tobytes() == block.tobytes()
+    own = np.stack([np.ones(4), q, np.ones(4)])[:, :, None]
+    assert _compact_two_loop(bank, own)[1].tobytes() == own[1].tobytes()
 
 
 def test_two_loop_batched_equals_columnwise():
@@ -94,7 +101,7 @@ def test_two_loop_preserves_positive_definiteness():
         assert float(q @ two_loop(mem, q)) > 0.0
 
 
-# -- lane bank against the scalar path -----------------------------------------
+# -- a lane against its state alone -------------------------------------------
 # Results are compared as raw bytes, so -0.0 against +0.0 counts as a
 # mismatch: the inputs include signed zeros and infinities. Only a NaN's sign
 # bit is let go, since a NaN prints as nan either way.
@@ -148,28 +155,42 @@ def random_bank(rng, lanes, d, tau):
     special_rate=st.sampled_from([0.0, 0.3]),
 )
 @settings(max_examples=150, deadline=None)
-def test_lane_bank_two_loop_matches_scalar_bit_for_bit(seed, lanes, d, tau, columns, special_rate):
-    """The batched recursion behind `move`, on a shared block and on per-lane vectors."""
+def test_compact_action_of_a_lane_has_the_same_bits_in_any_bank(seed, lanes, d, tau, columns, special_rate):
+    """A lane's action on a shared block, and its direction from its own
+    vector as `move` takes it, have the bits of `two_loop` on that state
+    alone, in the bank's order or any other."""
     rng = np.random.default_rng(seed)
     memories, bank = random_bank(rng, lanes, d, tau)
     assert len(bank) == max(len(m) for m in memories)
 
     shared = np.stack([random_vector(rng, d, special_rate) for _ in range(columns)], axis=1)
     own = np.stack([random_vector(rng, d, special_rate) for _ in range(lanes)])
+    order = rng.permutation(lanes)
     with np.errstate(invalid="ignore", over="ignore"):
-        block = _lanes_two_loop(bank, np.broadcast_to(shared, (lanes, d, columns)))
+        block = two_loop(bank, shared)
         assert block.shape == (lanes, d, columns)
+        shuffled = two_loop(LaneBank([memories[i] for i in order]), shared)
+        directions = _compact_two_loop(bank, own[:, :, None])[:, :, 0]
         for i, mem in enumerate(memories):
             assert same_bits(block[i], two_loop(mem, shared))
-
-        directions = _lanes_two_loop(bank, own[:, :, None])[:, :, 0]
-        for i, mem in enumerate(memories):
+            assert same_bits(block[i], shuffled[int(np.flatnonzero(order == i)[0])])
             assert same_bits(directions[i], two_loop(mem, own[i]))
 
 
-# -- the compact probe action ----------------------------------------------------
-# two_loop(bank, q) evaluates each lane's operator in compact form, so it
-# agrees with the recursion to rounding, relative to the operator's norm.
+def test_a_strided_column_has_the_bits_of_its_contiguous_copy():
+    # numpy's matmul takes a strided (d, 1) operand down another path than a
+    # contiguous one, which at tau = 1 changes the bits in about half the cases.
+    rng = np.random.default_rng(4)
+    for _ in range(10):
+        mem = random_memory(rng, 6, 1, tau=1)
+        block = rng.normal(size=(6, 4))
+        assert two_loop(mem, block[:, 0]).tobytes() == two_loop(mem, block[:, 0].copy()).tobytes()
+
+
+# -- the compact form against the recursion ---------------------------------------
+# two_loop evaluates the operator in compact form, so it agrees with the
+# scalar recursion of `helpers.recursion_two_loop` to rounding, relative to
+# the operator's norm.
 COMPACT_RTOL = 1e-11
 
 
@@ -192,30 +213,13 @@ def test_lane_bank_two_loop_matches_scalar_to_rounding(seed, lanes, d, tau, colu
     for i, mem in enumerate(memories):
         scale = np.linalg.norm(dense_inverse_hessian(mem), 2) if len(mem) else 1.0
         bound = COMPACT_RTOL * scale * np.max(np.abs(shared))
-        assert np.max(np.abs(block[i] - two_loop(mem, shared))) <= bound
-        assert np.max(np.abs(vectors[i] - two_loop(mem, shared[:, 0]))) <= bound
+        want = recursion_two_loop(mem, shared)
+        for got in (block[i], two_loop(mem, shared)):
+            assert np.max(np.abs(got - want)) <= bound
+        for got in (vectors[i], two_loop(mem, shared[:, 0])):
+            assert np.max(np.abs(got - want[:, 0])) <= bound
         if not len(mem):
             np.testing.assert_array_equal(block[i], shared)
-
-
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    lanes=st.integers(1, 5),
-    d=st.integers(1, 6),
-    tau=st.integers(1, 40),
-    columns=st.integers(1, 4),
-)
-@settings(max_examples=100, deadline=None)
-def test_compact_action_of_a_lane_has_the_same_bits_in_any_bank(seed, lanes, d, tau, columns):
-    rng = np.random.default_rng(seed)
-    memories, bank = random_bank(rng, lanes, d, tau)
-    shared = rng.normal(size=(d, columns))
-    block = two_loop(bank, shared)
-    order = rng.permutation(lanes)
-    shuffled = two_loop(LaneBank([memories[i] for i in order]), shared)
-    for i, mem in enumerate(memories):
-        assert same_bits(block[i], two_loop(LaneBank([mem]), shared)[0])
-        assert same_bits(block[i], shuffled[int(np.flatnonzero(order == i)[0])])
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -270,7 +274,7 @@ def test_lane_bank_move_matches_advance_bit_for_bit(seed, tau, logistic, curvatu
             assert same_bits(bank.S[i], lanes[i].S) and same_bits(bank.Y[i], lanes[i].Y)
         # A bank built from the stepped states holds the moved bank's bits.
         rebuilt = LaneBank(lanes)
-        for name in ("w", "S", "Y", "src", "rho", "gamma", "depth"):
+        for name in ("w", "S", "Y", "src", "gamma", "depth"):
             assert same_bits(getattr(rebuilt, name), getattr(bank, name)), name
     assert accepted > 0
     assert len(bank) == max(len(lane) for lane in lanes)
