@@ -146,7 +146,7 @@ def random_bank(rng, lanes, d, tau):
     return memories, LaneBank(memories)
 
 
-@given(
+LANE_CASES = dict(
     seed=st.integers(0, 2**32 - 1),
     lanes=st.integers(1, 5),
     d=st.integers(1, 6),
@@ -154,27 +154,45 @@ def random_bank(rng, lanes, d, tau):
     columns=st.integers(1, 4),
     special_rate=st.sampled_from([0.0, 0.3]),
 )
+
+
+@given(**LANE_CASES)
 @settings(max_examples=150, deadline=None)
-def test_compact_action_of_a_lane_has_the_same_bits_in_any_bank(seed, lanes, d, tau, columns, special_rate):
-    """A lane's action on a shared block, and its direction from its own
-    vector as `move` takes it, have the bits of `two_loop` on that state
-    alone, in the bank's order or any other."""
+def test_lane_bank_two_loop_matches_scalar_bit_for_bit(seed, lanes, d, tau, columns, special_rate):
+    """A lane's action on a shared block or column, and its direction from its
+    own vector as `move` takes it, have the bits of `two_loop` on that state
+    alone."""
     rng = np.random.default_rng(seed)
     memories, bank = random_bank(rng, lanes, d, tau)
     assert len(bank) == max(len(m) for m in memories)
 
     shared = np.stack([random_vector(rng, d, special_rate) for _ in range(columns)], axis=1)
     own = np.stack([random_vector(rng, d, special_rate) for _ in range(lanes)])
-    order = rng.permutation(lanes)
     with np.errstate(invalid="ignore", over="ignore"):
         block = two_loop(bank, shared)
         assert block.shape == (lanes, d, columns)
-        shuffled = two_loop(LaneBank([memories[i] for i in order]), shared)
+        vectors = two_loop(bank, shared[:, 0])
+        assert vectors.shape == (lanes, d)
         directions = _compact_two_loop(bank, own[:, :, None])[:, :, 0]
         for i, mem in enumerate(memories):
             assert same_bits(block[i], two_loop(mem, shared))
-            assert same_bits(block[i], shuffled[int(np.flatnonzero(order == i)[0])])
+            assert same_bits(vectors[i], two_loop(mem, shared[:, 0]))
             assert same_bits(directions[i], two_loop(mem, own[i]))
+
+
+@given(**LANE_CASES)
+@settings(max_examples=150, deadline=None)
+def test_compact_action_of_a_lane_has_the_same_bits_in_any_bank(seed, lanes, d, tau, columns, special_rate):
+    """A lane's action has the same bits whatever the bank's order."""
+    rng = np.random.default_rng(seed)
+    memories, bank = random_bank(rng, lanes, d, tau)
+    shared = np.stack([random_vector(rng, d, special_rate) for _ in range(columns)], axis=1)
+    order = rng.permutation(lanes)
+    with np.errstate(invalid="ignore", over="ignore"):
+        block = two_loop(bank, shared)
+        shuffled = two_loop(LaneBank([memories[i] for i in order]), shared)
+        for i in range(lanes):
+            assert same_bits(block[i], shuffled[int(np.flatnonzero(order == i)[0])])
 
 
 def test_a_strided_column_has_the_bits_of_its_contiguous_copy():
