@@ -478,14 +478,9 @@ def derive_point_seed(base_seed: int, point: dict) -> int:
 
 
 def grid_points(axes: dict[str, list]) -> list[dict]:
-    """Cartesian product in canonical (alphabetical axis name) order."""
-    if not axes:
-        return [{}]
+    """Cartesian product in canonical (alphabetical axis name) order; no axes: one empty point."""
     names = sorted(axes)
-    out = []
-    for combo in itertools.product(*(axes[n] for n in names)):
-        out.append(dict(zip(names, combo)))
-    return out
+    return [dict(zip(names, combo)) for combo in itertools.product(*(axes[n] for n in names))]
 
 
 def point_config(base: ExperimentConfig, point: dict) -> ExperimentConfig:
@@ -524,13 +519,19 @@ def run_grid(
 
     Each point gets its own derived seed so results are independent of
     worker count and completion order. Every point's config is built, and
-    so checked, before any point runs.
+    so checked, before any point runs; two axes that set one field (an
+    alias and its field) are an error.
     """
     if workers < 1:
         raise InvalidConfig(f"workers must be >= 1, got {workers}")
+    setters: dict[str, str] = {}
     for name, values in axes.items():
         if not values:
             raise InvalidAxis(f"grid axis {name!r} has no values")
+        target = "seed" if name == "seed" else grid_axis_field(name)[1]
+        if target in setters:
+            raise InvalidAxis(f"grid axes {setters[target]!r} and {name!r} both set {target}")
+        setters[target] = name
     configs = [point_config(base, point) for point in grid_points(axes)]
     if workers <= 1 or len(configs) == 1:
         return [_grid_worker(cfg) for cfg in configs]
@@ -542,21 +543,6 @@ def run_grid(
 # Aggregation
 # ---------------------------------------------------------------------------
 
-SUMMARY_COLUMNS = (
-    "method",
-    "runs",
-    "median_future_state_auc",
-    "mean_future_state_auc",
-    "median_initial_state_err",
-    "median_final_state_err",
-    "median_auc_ratio_vs_noop",
-    "share_better_than_noop",
-    "exact_recovery_rate",
-    "best_non_oracle_share",
-    "median_avg_future_loss",
-    "mean_replayed_events",
-)
-
 
 def _nanmedian(values: list[float]) -> float:
     """np.nanmedian, but nan for an empty or all-nan list, without a warning."""
@@ -566,14 +552,11 @@ def _nanmedian(values: list[float]) -> float:
 
 
 def aggregate(results: list[RunResult]) -> list[dict]:
-    """Per-method summary over matched configurations."""
+    """Per-method summary over matched configurations; row keys are summary.csv's columns."""
     if not results:
         raise EmptyResults("no results to aggregate")
-    methods: list[str] = []
-    for res in results:
-        for row in res.methods:
-            if row.method not in methods:
-                methods.append(row.method)
+    by_method = [{row.method: row for row in res.methods} for res in results]
+    methods = list(dict.fromkeys(m for rows in by_method for m in rows))
 
     # Only finite AUCs are ranked: a diverged row is never best, and a run
     # with no finite non-oracle AUC is not comparable.
@@ -591,13 +574,12 @@ def aggregate(results: list[RunResult]) -> list[dict]:
 
     out = []
     for m in methods:
-        rows = [res.method_row(m) for res in results if any(r.method == m for r in res.methods)]
+        rows = [run[m] for run in by_method if m in run]
         aucs = np.array([r.future_state_auc for r in rows])
         noop_pairs = [
-            (res.method_row(m).future_state_auc, res.method_row("noop").future_state_auc)
-            for res in results
-            if any(r.method == m for r in res.methods)
-            and any(r.method == "noop" for r in res.methods)
+            (run[m].future_state_auc, run["noop"].future_state_auc)
+            for run in by_method
+            if m in run and "noop" in run
         ]
         share_better = (
             sum(1 for a, b in noop_pairs if a < b) / len(noop_pairs) if noop_pairs else float("nan")
@@ -646,12 +628,12 @@ def atomic_write(path: str, text: str) -> None:
 
 
 def _format_cell(value) -> str:
+    if isinstance(value, float):  # first: nearly every cell is one, and no bool is
+        return repr(value)
     if isinstance(value, bool):
         return "true" if value else "false"
     if value is None:
         return "-1"
-    if isinstance(value, float):
-        return repr(value)
     return str(value)
 
 
@@ -660,47 +642,40 @@ def result_rows(result: RunResult) -> list[dict]:
     return [{**key, **asdict(m)} for m in result.methods]
 
 
-def write_results_csv(results: list[RunResult], path: str) -> None:
-    lines = [",".join(CSV_COLUMNS)]
-    for res in results:
-        for row in result_rows(res):
-            lines.append(",".join(_format_cell(row[c]) for c in CSV_COLUMNS))
+def _write_csv(path: str, header, rows) -> None:
+    """Write the header line, then one line of `_format_cell` cells per row."""
+    lines = [",".join(header)]
+    lines.extend(",".join(map(_format_cell, row)) for row in rows)
     atomic_write(path, "\n".join(lines) + "\n")
 
 
+def write_results_csv(results: list[RunResult], path: str) -> None:
+    # result_rows' keys are CSV_COLUMNS in order.
+    _write_csv(path, CSV_COLUMNS, (row.values() for res in results for row in result_rows(res)))
+
+
 def write_results_json(results: list[RunResult], path: str) -> None:
-    docs = []
-    for res in results:
-        docs.append(
-            {
-                "rows": result_rows(res),
-                "rho_emp": res.rho_emp,
-                "future_hash": res.future_hash,
-                "probe_hash": res.probe_hash,
-                "assumption_violations": res.assumption_violations,
-            }
-        )
+    docs = [
+        {
+            "rows": result_rows(res),
+            "rho_emp": res.rho_emp,
+            "future_hash": res.future_hash,
+            "probe_hash": res.probe_hash,
+            "assumption_violations": res.assumption_violations,
+        }
+        for res in results
+    ]
     atomic_write(path, json.dumps(docs, indent=2, sort_keys=True, allow_nan=True) + "\n")
 
 
 def write_trace_csv(trace: MetricTrace, path: str) -> None:
-    lines = [",".join(TRACE_COLUMNS)]
-    for k in range(len(trace)):
-        cells = (
-            str(k),
-            repr(float(trace.param_err[k])),
-            repr(float(trace.memory_err[k])),
-            repr(float(trace.state_err[k])),
-            repr(float(trace.direction_err[k])),
-            str(int(trace.direct_mass[k])),
-            repr(float(trace.loss[k])),
-        )
-        lines.append(",".join(cells))
-    atomic_write(path, "\n".join(lines) + "\n")
+    # Cells are Python scalars read lazily from the arrays, one row at a time.
+    errs = (trace.param_err, trace.memory_err, trace.state_err, trace.direction_err)
+    floats = (map(float, column) for column in errs)
+    rows = zip(range(len(trace)), *floats, map(int, trace.direct_mass), map(float, trace.loss))
+    _write_csv(path, TRACE_COLUMNS, rows)
 
 
 def write_summary_csv(summary: list[dict], path: str) -> None:
-    lines = [",".join(SUMMARY_COLUMNS)]
-    for row in summary:
-        lines.append(",".join(_format_cell(row[c]) for c in SUMMARY_COLUMNS))
-    atomic_write(path, "\n".join(lines) + "\n")
+    # aggregate's keys are the summary's columns.
+    _write_csv(path, summary[0], (row.values() for row in summary))

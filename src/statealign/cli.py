@@ -7,8 +7,9 @@ Subcommands:
     bench certify     calibrate the Gaussian noise level for a deviation
     bench inspect     train to the deletion and apply one intervention
 
-Exit codes: 0 success, 1 configuration error, 2 runtime failure (any
-error that is not a configuration error, reported in one stderr line).
+Exit codes: 0 success, 1 configuration error (a usage error included),
+2 runtime failure (any error that is not a configuration error,
+reported in one stderr line).
 Result files are written atomically (temp file, then rename).
 """
 from __future__ import annotations
@@ -31,8 +32,15 @@ EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are configuration errors (exit 1); the subparsers share this class."""
+
+    def error(self, message: str):
+        raise InvalidConfig(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bench", description="Deletion benchmarks for online L-BFGS state alignment."
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -71,34 +79,37 @@ def _load_cfg(args, defaults: bench.ExperimentConfig) -> bench.ExperimentConfig:
     return cfg
 
 
-def _write_run_outputs(result: bench.RunResult, out_dir: str, fmt: str) -> list[str]:
+def _write_outputs(
+    out_dir: str, fmt: str, results: list[bench.RunResult], summary: list[dict] | None = None
+) -> None:
+    """Write a command's files into out_dir and print each path once it is written.
+
+    The order is results.<fmt>, each method's trace of a single run (grid
+    points keep none), then a grid's summary.csv.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-    if fmt == "json":
-        path = out / "results.json"
-        bench.write_results_json([result], str(path))
-    else:
-        path = out / "results.csv"
-        bench.write_results_csv([result], str(path))
-    written.append(str(path))
-    for method, trace in result.traces.items():
-        tpath = out / f"trace_{method}.csv"
-        bench.write_trace_csv(trace, str(tpath))
-        written.append(str(tpath))
-    return written
+    write_results = bench.write_results_json if fmt == "json" else bench.write_results_csv
+    files = [(f"results.{fmt}", write_results, results)]
+    for result in results:
+        files += [(f"trace_{m}.csv", bench.write_trace_csv, t) for m, t in result.traces.items()]
+    if summary is not None:
+        files.append(("summary.csv", bench.write_summary_csv, summary))
+    for name, write, obj in files:
+        path = str(out / name)
+        write(obj, path)
+        print(path)
 
 
-def _cmd_experiment(args, which: int) -> int:
-    defaults = bench.experiment1_defaults() if which == 1 else bench.experiment2_defaults()
-    cfg = _load_cfg(args, defaults)
-    if which == 1:
+def _cmd_experiment(args) -> int:
+    exp1 = args.command == "exp1"
+    cfg = _load_cfg(args, bench.experiment1_defaults() if exp1 else bench.experiment2_defaults())
+    if exp1:
         # The decay run compares the unrepaired state with the oracle only.
         cfg = replace(cfg, interventions=("noop",))
     result = bench.run_experiment(cfg, keep_traces=args.out is not None)
     if args.out:
-        for path in _write_run_outputs(result, args.out, args.format):
-            print(path)
+        _write_outputs(args.out, args.format, [result])
     for row in result.methods:
         print(
             f"{row.method}: future_state_auc={row.future_state_auc!r} "
@@ -115,16 +126,7 @@ def _cmd_grid(args) -> int:
     results = bench.run_grid(cfg, axes, workers=args.workers)
     summary = bench.aggregate(results)
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        if args.format == "json":
-            bench.write_results_json(results, str(out / "results.json"))
-            print(str(out / "results.json"))
-        else:
-            bench.write_results_csv(results, str(out / "results.csv"))
-            print(str(out / "results.csv"))
-        bench.write_summary_csv(summary, str(out / "summary.csv"))
-        print(str(out / "summary.csv"))
+        _write_outputs(args.out, args.format, results, summary)
     for row in summary:
         print(
             f"{row['method']}: median_auc={row['median_future_state_auc']!r} "
@@ -173,21 +175,10 @@ def _cmd_inspect(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        if args.command == "exp1":
-            return _cmd_experiment(args, 1)
-        if args.command == "exp2":
-            return _cmd_experiment(args, 2)
-        if args.command == "grid":
-            return _cmd_grid(args)
-        if args.command == "certify":
-            return _cmd_certify(args)
-        if args.command == "inspect":
-            return _cmd_inspect(args)
-        parser.print_help(sys.stderr)
-        return EXIT_CONFIG
+        args = build_parser().parse_args(argv)
+        commands = {"grid": _cmd_grid, "certify": _cmd_certify, "inspect": _cmd_inspect}
+        return commands.get(args.command, _cmd_experiment)(args)
     except InvalidConfig as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

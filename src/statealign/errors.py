@@ -39,8 +39,8 @@ class InvalidPrivacyParams(InvalidConfig):
     """Noise calibration requires eps > 0, delta in (0, 1), alpha >= 0, all finite."""
 
 
-class InvalidAxis(StateAlignError):
-    """A grid axis does not name a known configuration field."""
+class InvalidAxis(InvalidConfig):
+    """A grid axis names no known field, has no values, or sets a field another axis sets."""
 
 
 class EmptyResults(StateAlignError):

@@ -97,12 +97,10 @@ class DecayFit:
     c_hat: float
 
 
-def fit_decay_rate(
-    trace: np.ndarray | list[float], k_lo: int, k_hi: int, floor: float = FIT_FLOOR
-) -> DecayFit:
+def fit_decay_rate(trace: np.ndarray | list[float], k_lo: int, k_hi: int) -> DecayFit:
     """Fit trace[k] ~ C * rho^k on k in [k_lo, k_hi] (inclusive).
 
-    Values are floored at `floor` before taking logs. rho_hat is
+    Values are floored at FIT_FLOOR before taking logs. rho_hat is
     deliberately unclamped: amplifying phases report rho_hat > 1.
     """
     arr = np.asarray(trace, dtype=float)
@@ -112,7 +110,7 @@ def fit_decay_rate(
         raise IntervalTooShort("decay fit needs k_hi - k_lo >= 2")
     ks = np.arange(k_lo, k_hi + 1, dtype=float)
     vals = arr[k_lo : k_hi + 1]
-    logs = np.log(np.maximum(vals, floor))
+    logs = np.log(np.maximum(vals, FIT_FLOOR))
     slope, intercept = np.polyfit(ks, logs, 1)
     return DecayFit(rho_hat=float(np.exp(slope)), c_hat=float(np.exp(intercept)))
 

@@ -11,7 +11,6 @@ import pytest
 from statealign import bench, certify, metrics, olbfgs
 from statealign.bench import (
     CSV_COLUMNS,
-    SUMMARY_COLUMNS,
     TRACE_COLUMNS,
     ExperimentConfig,
     MethodResult,
@@ -526,6 +525,21 @@ def test_grid_rejects_workers_below_one_before_any_point_runs(monkeypatch, worke
     assert ran == []
 
 
+@pytest.mark.parametrize(
+    "alias, field, value", [("kappa", "condition_number", 50.0), ("t_del", "deletion_time", 30)]
+)
+def test_grid_rejects_an_alias_and_its_field_before_any_point_runs(monkeypatch, alias, field, value):
+    ran = []
+    monkeypatch.setattr(bench, "_grid_worker", ran.append)
+    for first, second in ((alias, field), (field, alias)):
+        message = f"grid axes '{first}' and '{second}' both set {field}"
+        with pytest.raises(InvalidAxis, match=message):
+            run_grid(small_config(), {first: [value], second: [value]}, workers=1)
+    assert ran == []
+    # A config error, so the command line reports it with exit 1.
+    assert issubclass(InvalidAxis, InvalidConfig)
+
+
 def test_grid_rejects_a_negative_seed_before_any_point_runs(monkeypatch):
     ran = []
     monkeypatch.setattr(bench, "run_experiment", lambda *args, **kwargs: ran.append(args))
@@ -715,7 +729,12 @@ def test_summary_csv_round_trip(tmp_path):
     path = tmp_path / "summary.csv"
     write_summary_csv(summary, str(path))
     lines = path.read_text().splitlines()
-    assert lines[0] == ",".join(SUMMARY_COLUMNS)
+    assert lines[0] == (
+        "method,runs,median_future_state_auc,mean_future_state_auc,"
+        "median_initial_state_err,median_final_state_err,median_auc_ratio_vs_noop,"
+        "share_better_than_noop,exact_recovery_rate,best_non_oracle_share,"
+        "median_avg_future_loss,mean_replayed_events"
+    )
     assert len(lines) == 1 + len(summary)
 
 

@@ -127,10 +127,34 @@ def test_more_than_one_seed_exits_1(capsys, tmp_path):
 
 @pytest.mark.parametrize("command", ["exp1", "exp2"])
 def test_workers_is_a_grid_only_flag(capsys, small_cfg, command):
-    with pytest.raises(SystemExit) as exc:
-        main([command, "--config", str(small_cfg), "--workers", "2"])
-    assert exc.value.code == 2
+    assert main([command, "--config", str(small_cfg), "--workers", "2"]) == 1
     assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["exp2", "--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
+        (["certify", "--alpha", "abc", "--eps", "1", "--delta", "1"], "argument --alpha: invalid float"),
+        (["grid", "--workers", "x"], "argument --workers: invalid int value: 'x'"),
+        (["exp2", "--format", "xml"], "argument --format: invalid choice: 'xml'"),
+        (["certify", "--alpha", "0.25"], "the following arguments are required: --eps, --delta"),
+        ([], "the following arguments are required: command"),
+    ],
+)
+def test_a_usage_error_is_one_config_error_line_and_exit_1(capsys, argv, message):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: {message}")
+    assert captured.err.count("\n") == 1
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["exp2", "--help"])
+    assert exc.value.code == 0
+    assert "--config" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(
@@ -310,6 +334,24 @@ def test_exp2_writes_results_and_traces(capsys, small_cfg, tmp_path):
     assert len(lines) == 3
     # 21 future steps recorded: k = 0..20
     assert len((out / "trace_noop.csv").read_text().splitlines()) == 22
+
+
+def test_out_prints_each_written_path_once_in_write_order(capsys, small_cfg, tmp_path):
+    out = tmp_path / "runs"
+    assert main(["exp2", "--config", str(small_cfg), "--out", str(out)]) == 0
+    written = ["results.csv", "trace_oracle.csv", "trace_noop.csv"]
+    assert capsys.readouterr().out.splitlines()[:4] == [str(out / name) for name in written] + [
+        "oracle: future_state_auc=0.0 exact_recovery=true"
+    ]
+    grid = tmp_path / "grid.ini"
+    grid.write_text(GRID)
+    for fmt in ("csv", "json"):
+        out = tmp_path / f"grid_{fmt}"
+        assert main(["grid", "--config", str(grid), "--out", str(out), "--format", fmt]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == [str(out / f"results.{fmt}"), str(out / "summary.csv")]
+        assert lines[2].startswith("oracle: median_auc=")
+        assert sorted(p.name for p in out.iterdir()) == sorted([f"results.{fmt}", "summary.csv"])
 
 
 def test_exp1_reports_noop_only(capsys, tmp_path):
