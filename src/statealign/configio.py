@@ -66,8 +66,6 @@ def load_grid_axes(path: str | Path) -> dict[str, list]:
             except InvalidAxis as exc:
                 raise InvalidConfig(f"unknown key {key!r} in [grid]") from exc
             values = parse_value(raw, tuple[kind, ...], key)
-            if not values:
-                raise InvalidConfig(f"grid axis {key!r} has no values")
             # Enum axes keep their text: derive_point_seed hashes str(value).
             axes[key] = [v.value if isinstance(v, Enum) else v for v in values]
     return axes

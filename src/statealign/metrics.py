@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyTrace, IntervalTooShort, InvalidConfig
-from .olbfgs import LaneBank, dots, two_loop
+from .olbfgs import LaneBank, two_loop
+from .stream import dots
 
 DIRECTION_EPS = 1e-14
 FIT_FLOOR = 1e-15

@@ -15,12 +15,13 @@ together with the bits of stepping each state alone.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidConfig
-from .stream import DeletionSet, Event, loss_and_grad, require_finite
+from .stream import DeletionSet, Event, dots, loss_and_grad, require_finite
 
 
 @dataclass(frozen=True)
@@ -113,13 +114,12 @@ def initial_state(dimension: int, cfg: StepConfig) -> OptimizerState:
     return OptimizerState(np.zeros(dimension), np.zeros(shape), np.zeros(shape), src)
 
 
-def dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot products over the last axis, leading axes broadcast: shape (...).
-
-    Each is a stacked (1, d) @ (d, 1) matmul, which numpy takes through the
-    same BLAS dot as a 1-D `a @ b`, so every entry has that product's bits.
-    """
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+@functools.cache
+def _upper_mask(tau: int) -> np.ndarray:
+    """Read-only (tau, tau) mask of the upper triangle, diagonal included."""
+    mask = np.triu(np.ones((tau, tau), dtype=bool))
+    mask.flags.writeable = False
+    return mask
 
 
 class LaneBank:
@@ -132,6 +132,10 @@ class LaneBank:
     from `dots`, with the same bits whether the bank was built or pushed.
     `src` is the (lanes, tau) ring of each pair's source event index, -1 in
     empty slots. len(bank) is the deepest lane's pair count.
+
+    S, Y and src are read-only: `_push` is their one writer, and it drops
+    the compact factors that `factors` builds on first use and keeps, so a
+    step's probe action and search directions share one build.
     """
 
     def __init__(self, states: list[OptimizerState]) -> None:
@@ -142,12 +146,15 @@ class LaneBank:
         self.S = np.array([st.S for st in states], dtype=np.float64)
         self.Y = np.array([st.Y for st in states], dtype=np.float64)
         self.src = np.array([st.src for st in states], dtype=np.int64)
+        for ring in (self.S, self.Y, self.src):
+            ring.flags.writeable = False
         filled = self.src >= 0
         self.depth = filled.sum(axis=1)
         newest = self.Y[:, -1]
         self.gamma = np.divide(
             dots(self.S[:, -1], newest), dots(newest, newest), out=np.ones(len(filled)), where=filled[:, -1]
         )
+        self._factors: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def __len__(self) -> int:
         return int(self.depth.max())
@@ -163,24 +170,54 @@ class LaneBank:
         full lane evicts its oldest pair.
         """
         for ring, new in ((self.S, s), (self.Y, y), (self.src, source)):
+            ring.flags.writeable = True
             ring[lanes, :-1] = ring[lanes, 1:]
             ring[lanes, -1] = new
+            ring.flags.writeable = False
         self.gamma[lanes] = sy / dots(y, y)
         self.depth[lanes] = np.minimum(self.depth[lanes] + 1, self.tau)
+        self._factors = None
 
-    def move(self, event: Event, cfg: StepConfig) -> tuple[list[float], np.ndarray]:
+    def factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every lane's read-only compact factors (R, D, R⁻¹), built once per push.
+
+        R is the upper triangle of S Yᵀ, with a unit pivot in each empty
+        slot, D the (lanes, tau, 1) diagonal of S Yᵀ, and R⁻¹ one batched
+        `np.linalg.inv`, which gives a lane the same bits in any bank. A
+        lane whose R is not finite or has a zero pivot gets the identity
+        for R and nan for R⁻¹; overflow and invalid values raise no warning.
+        """
+        if self._factors is None:
+            tau = self.tau
+            with np.errstate(over="ignore", invalid="ignore"):
+                R = np.where(_upper_mask(tau), self.S @ self.Y.transpose(0, 2, 1), 0.0)
+                pivots = R.reshape(len(R), -1)[:, :: tau + 1]  # a view of each lane's diagonal
+                D = pivots[:, :, None].copy()
+                pivots += self.src < 0
+                bad = ~(np.isfinite(R).all(axis=(1, 2)) & pivots.all(axis=1))
+                if bad.any():
+                    R[bad] = np.eye(tau)
+                R_inv = np.linalg.inv(R)
+                R_inv[bad] = np.nan
+            for factor in (R, D, R_inv):
+                factor.flags.writeable = False
+            self._factors = R, D, R_inv
+        return self._factors
+
+    def move(self, event: Event, cfg: StepConfig) -> tuple[np.ndarray, np.ndarray]:
         """Every lane's `advance` on one event, in place.
 
-        Gradients are taken lane by lane; the directions come from one
-        call of the compact two-loop on the (lanes, d, 1) gradient block.
-        Returns the pre-move losses and the (lanes, d) search directions.
+        Each gradient is one stacked `loss_and_grad` call on the (lanes, d)
+        parameters, and the directions come from one call of the compact
+        two-loop on the (lanes, d, 1) gradient block; both give every lane
+        the bits of its own `advance`. Returns the (lanes,) pre-move losses
+        and the (lanes, d) search directions.
         """
         w = self.w
-        losses, grads = zip(*(loss_and_grad(event.payload, wi) for wi in w))
-        g = np.array(grads)
+        losses, g = loss_and_grad(event.payload, w)
         direction = -_compact_two_loop(self, g[:, :, None])[:, :, 0]
         w_next = w + cfg.eta * direction
-        g_next = np.array([loss_and_grad(event.payload, wi)[1] for wi in w_next])
+        g_next = loss_and_grad(event.payload, w_next)[1]
         s = w_next - w
         y = g_next - g
         sy = dots(s, y)
@@ -188,7 +225,7 @@ class LaneBank:
         if accepted.size:
             self._push(accepted, s[accepted], y[accepted], sy[accepted], event.index)
         self.w = w_next
-        return list(losses), direction
+        return losses, direction
 
 
 def _compact_two_loop(bank: LaneBank, p: np.ndarray) -> np.ndarray:
@@ -204,36 +241,29 @@ def _compact_two_loop(bank: LaneBank, p: np.ndarray) -> np.ndarray:
 
         Z = R⁻¹ S p,  u = p − Yᵀ Z,  T = R⁻ᵀ (D Z − γ Y u),  H p = γ u + Sᵀ T.
 
-    An empty slot's rows are zero and get a unit pivot, so it adds nothing.
-    Both solves multiply by one explicit R⁻¹, and the second, whose result
-    carries the operator's scale, takes one step of iterative refinement.
-    Every product is stacked over lanes, so a lane's result depends only
-    on its own arrays and the values of its columns, bit for bit (p is made
-    C-contiguous first, since numpy's matmul takes a strided column down
-    another path). An empty lane returns its columns of p unchanged, inf,
-    nan and -0.0 included. A lane whose R is not finite or has a zero pivot
-    gets nan; overflow and invalid values raise no warning.
+    The factors come from `bank.factors()`, so calls between two pushes
+    share one build. An empty slot's rows are zero and get a unit pivot,
+    so it adds nothing. Both solves multiply by one explicit R⁻¹, and the
+    second, whose result carries the operator's scale, takes one step of
+    iterative refinement. Every product is stacked over lanes, so a lane's
+    result depends only on its own arrays and the values of its columns,
+    bit for bit (p is made C-contiguous first, since numpy's matmul takes a
+    strided column down another path). An empty lane returns its columns
+    of p unchanged, inf, nan and -0.0 included. A lane whose R is not
+    finite or has a zero pivot gets nan; overflow and invalid values raise
+    no warning.
     """
     p = np.ascontiguousarray(p, dtype=np.float64)
-    tau = bank.tau
+    R, D, R_inv = bank.factors()
     S, Y = bank.S, bank.Y
-    St, Yt = S.transpose(0, 2, 1), Y.transpose(0, 2, 1)
+    St, Yt, Rt, R_inv_t = (a.transpose(0, 2, 1) for a in (S, Y, R, R_inv))
     gamma = bank.gamma[:, None, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        R = np.triu(S @ Yt)
-        pivots = R.reshape(len(R), -1)[:, :: tau + 1]  # a view of each lane's diagonal
-        D = pivots[:, :, None].copy()
-        pivots += bank.src < 0
-        bad = ~(np.isfinite(R).all(axis=(1, 2)) & pivots.all(axis=1))
-        if bad.any():
-            R[bad] = np.eye(tau)
-        R_inv = np.linalg.inv(R)
-        R_inv[bad] = np.nan
         Z = R_inv @ (S @ p)
         u = p - Yt @ Z
         rhs = D * Z - gamma * (Y @ u)
-        T = R_inv.transpose(0, 2, 1) @ rhs
-        T += R_inv.transpose(0, 2, 1) @ (rhs - R.transpose(0, 2, 1) @ T)
+        T = R_inv_t @ rhs
+        T += R_inv_t @ (rhs - Rt @ T)
         out = gamma * u + St @ T
     empty = bank.depth == 0
     if empty.any():

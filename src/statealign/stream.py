@@ -294,21 +294,42 @@ def generate_stream(config: StreamConfig, seed: int) -> EventStream:
     return gen_logistic_stream(config, seed)
 
 
-def loss_and_grad(payload: SamplePayload, w: np.ndarray) -> tuple[float, np.ndarray]:
-    """Per-event loss and gradient at w; a logistic loss adds its payload's ridge term."""
+def dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products over the last axis, leading axes broadcast: shape (...).
+
+    Each is a stacked (1, d) @ (d, 1) matmul, which numpy takes through the
+    same BLAS dot as a 1-D `a @ b`, so every entry has that product's bits.
+    """
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def loss_and_grad(payload: SamplePayload, w: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
+    """Per-event loss and gradient at w; a logistic loss adds its payload's ridge term.
+
+    w is one (d,) parameter vector, whose loss is a Python float, or a
+    stack of them over leading axes, such as a bank's (lanes, d) rows,
+    whose losses are an array of the leading shape. Each row gets the bits
+    of its own 1-D call: products are stacked matmuls (a quadratic event's
+    H r is one gemv per row), and a logistic event's sigmoid and softplus
+    stay scalar math per row, since numpy's vectorised exp may round
+    differently.
+    """
     if isinstance(payload, QuadraticSample):
-        if w.shape != payload.minimizer.shape:
+        if w.shape[-1:] != payload.minimizer.shape:
             raise DimensionMismatch("parameter/minimizer shapes differ")
         r = w - payload.minimizer
-        hr = payload.hessian @ r
-        return 0.5 * float(r @ hr), hr
-    x, y, ridge = payload.features, payload.label, payload.ridge
-    if w.shape != x.shape:
-        raise DimensionMismatch("parameter/feature shapes differ")
-    z = float(x @ w)
-    loss = float(np.logaddexp(0.0, -y * z)) + 0.5 * ridge * float(w @ w)
-    grad = (-y * _expit(-y * z)) * x + ridge * w
-    return loss, grad
+        grad = (payload.hessian @ r[..., None])[..., 0]
+        loss = 0.5 * dots(r, grad)
+    else:
+        x, y, ridge = payload.features, payload.label, payload.ridge
+        if w.shape[-1:] != x.shape:
+            raise DimensionMismatch("parameter/feature shapes differ")
+        z = dots(w, x)
+        rows = [(float(np.logaddexp(0.0, -y * zi)), -y * _expit(-y * zi)) for zi in np.ravel(z).tolist()]
+        softplus, scale = np.array(rows).T.reshape(2, *z.shape)
+        loss = softplus + 0.5 * ridge * dots(w, w)
+        grad = scale[..., None] * x + ridge * w
+    return (float(loss) if w.ndim == 1 else loss), grad
 
 
 def loss_hessian(payload: SamplePayload, w: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ import mpmath
 import numpy as np
 
 from statealign.olbfgs import StepConfig, initial_state
+from statealign.stream import QuadraticSample, _expit
 
 
 def mp_sigma(alpha, epsilon, delta):
@@ -17,6 +18,33 @@ def mp_sigma(alpha, epsilon, delta):
         e = mpmath.mpf(repr(epsilon))
         d = mpmath.mpf(repr(delta))
         return float(a * mpmath.sqrt(2 * mpmath.log(mpmath.mpf("1.25") / d)) / e)
+
+
+def same_bits(a, b) -> bool:
+    """Equal shapes and bytes, except that a NaN's sign bit is let go.
+
+    numpy's add returns either operand when both are NaN, by where the
+    element falls in its SIMD loop, and a NaN prints as nan either way.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    nan = np.isnan(a)
+    return a.shape == b.shape and np.array_equal(nan, np.isnan(b)) and (
+        a[~nan].tobytes() == b[~nan].tobytes()
+    )
+
+
+def scalar_loss_and_grad(payload, w):
+    """The loss and gradient of one (d,) vector in scalar form: the reference
+    that every row of a stacked `loss_and_grad` call matches bit for bit."""
+    if isinstance(payload, QuadraticSample):
+        r = w - payload.minimizer
+        hr = payload.hessian @ r
+        return 0.5 * float(r @ hr), hr
+    x, y, ridge = payload.features, payload.label, payload.ridge
+    z = float(x @ w)
+    loss = float(np.logaddexp(0.0, -y * z)) + 0.5 * ridge * float(w @ w)
+    grad = (-y * _expit(-y * z)) * x + ridge * w
+    return loss, grad
 
 
 def dense_inverse_hessian(state) -> np.ndarray:

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from statealign.bench import ExperimentConfig
+from statealign.cli import main
 from statealign.configio import load_config, load_grid_axes
 from statealign.errors import InvalidConfig
 from statealign.olbfgs import StepConfig
@@ -138,11 +139,14 @@ def test_grid_axes_parse_typed_value_lists(tmp_path):
     assert axes["curvature_eps"] == [1e-8, 1e-4]
 
 
-def test_grid_axis_without_values_is_rejected(tmp_path):
+def test_grid_axis_without_values_is_rejected(capsys, tmp_path):
     path = tmp_path / "grid.ini"
     path.write_text("[grid]\nkappa = ,\n")
-    with pytest.raises(InvalidConfig, match="kappa"):
-        load_grid_axes(path)
+    out = tmp_path / "runs"
+    assert main(["grid", "--config", str(path), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["config error: grid axis 'kappa' has no values"]
+    assert not out.exists()
 
 
 def test_inline_comments_are_stripped(tmp_path):

@@ -29,7 +29,7 @@ from statealign.stream import (
     generate_stream,
 )
 
-from helpers import dense_inverse_hessian, random_memory, recursion_two_loop
+from helpers import dense_inverse_hessian, random_memory, recursion_two_loop, same_bits
 
 
 def test_two_loop_matches_dense_oracle_random_cases():
@@ -125,13 +125,6 @@ def lane_memory(rng, d, tau, n_candidates, eps):
         if float(s @ y) > eps:
             mem.push(s, y, t)
     return mem
-
-
-def same_bits(a, b):
-    nan = np.isnan(a)
-    return a.shape == b.shape and np.array_equal(nan, np.isnan(b)) and (
-        a[~nan].tobytes() == b[~nan].tobytes()
-    )
 
 
 def random_bank(rng, lanes, d, tau):
@@ -296,6 +289,42 @@ def test_lane_bank_move_matches_advance_bit_for_bit(seed, tau, logistic, curvatu
             assert same_bits(getattr(rebuilt, name), getattr(bank, name)), name
     assert accepted > 0
     assert len(bank) == max(len(lane) for lane in lanes)
+
+
+@given(**LANE_CASES, curvature_eps=st.sampled_from([1e-10, 1e-2]))
+@settings(max_examples=60, deadline=None)
+def test_kept_factors_have_the_bits_of_a_fresh_bank_at_every_step(
+    seed, lanes, d, tau, columns, special_rate, curvature_eps
+):
+    """A bank keeps its compact factors from one push to the next: the probe
+    action before a move, the move's directions and the action after it have
+    the bits of a freshly built bank and of `advance`, whether or not the
+    move pushed a pair."""
+    rng = np.random.default_rng(seed)
+    _, bank = random_bank(rng, lanes, d, tau)
+    probes = np.stack([random_vector(rng, d, special_rate) for _ in range(columns)], axis=1)
+    events = generate_stream(StreamConfig(dimension=d, length=12, deletion_time=12, horizon=0), seed).events
+    cfg = StepConfig(eta=0.2, tau=tau, curvature_eps=curvature_eps)
+    with np.errstate(all="ignore"):
+        for e in events:
+            states = [bank.lane(i) for i in range(lanes)]
+            assert same_bits(two_loop(bank, probes), two_loop(LaneBank(states), probes))
+            _, directions = bank.move(e, cfg)
+            for i, state in enumerate(states):
+                assert same_bits(directions[i], advance(state, e, cfg)[1].direction)
+            fresh = LaneBank([bank.lane(i) for i in range(lanes)])
+            assert same_bits(two_loop(bank, probes), two_loop(fresh, probes))
+
+
+def test_bank_rings_are_read_only_outside_push():
+    rng = np.random.default_rng(6)
+    bank = LaneBank([lane_memory(rng, 3, 4, 6, 0.1) for _ in range(2)])
+    event = Event(index=7, time=7, payload=QuadraticSample(hessian=np.eye(3), minimizer=np.ones(3)))
+    bank.move(event, StepConfig())
+    assert (bank.src[:, -1] == 7).all()
+    for name in ("S", "Y", "src"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(bank, name)[0, -1] = 0
 
 
 def test_lane_bank_rejects_lanes_with_different_memory_settings():

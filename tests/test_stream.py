@@ -29,6 +29,8 @@ from statealign.stream import (
     select_deletion_set,
 )
 
+from helpers import same_bits, scalar_loss_and_grad
+
 SMALL = StreamConfig(dimension=6, length=60, deletion_time=30, horizon=20)
 
 
@@ -262,6 +264,34 @@ def test_logistic_payload_carries_its_ridge_into_the_loss():
     np.testing.assert_allclose(
         loss_hessian(payload, w), loss_hessian(bare, w) + 0.3 * np.eye(4), rtol=1e-14
     )
+
+
+ROW_EDGES = [0.0, -0.0, 1e300, -1e300, math.inf, -math.inf, math.nan]
+
+
+@pytest.mark.parametrize("regime", list(Regime))
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 6), edge_rate=st.sampled_from([0.0, 0.3]))
+@settings(max_examples=60, deadline=None)
+def test_stacked_loss_and_grad_has_the_bits_of_each_row(regime, seed, rows, edge_rate):
+    """A (rows, d) call gives every row the bits of its 1-D call and of the
+    scalar reference, -0.0, inf and nan included, under the error state a
+    run uses."""
+    cfg = StreamConfig(regime=regime, dimension=5, length=6, deletion_time=6, horizon=0)
+    rng = np.random.default_rng(seed)
+    payload = generate_stream(cfg, seed).events[int(rng.integers(6))].payload
+    w = rng.normal(size=(rows, 5)) * 10.0 ** rng.integers(-3, 4, size=(rows, 1))
+    hit = rng.random(w.shape) < edge_rate
+    w[hit] = rng.choice(ROW_EDGES, size=int(hit.sum()))
+    w[0] = rng.choice(ROW_EDGES)  # a row of 0, -0.0, +-1e300, +-inf or nan
+    with np.errstate(all="ignore"):
+        losses, grads = loss_and_grad(payload, w)
+        assert losses.shape == (rows,) and grads.shape == (rows, 5)
+        for i in range(rows):
+            loss, grad = loss_and_grad(payload, w[i])
+            want_loss, want_grad = scalar_loss_and_grad(payload, w[i])
+            assert type(loss) is float
+            assert same_bits(loss, want_loss) and same_bits(grad, want_grad)
+            assert same_bits(losses[i], loss) and same_bits(grads[i], grad)
 
 
 EXPIT_EDGES = [0.0, -0.0, 709.7, -709.7, 709.79, -709.79, -710.0, -745.0, -746.0, 800.0, -800.0]
